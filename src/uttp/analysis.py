@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .instance import DistanceMatrix, Number
 from .solver import (
     ScheduleFamily,
@@ -154,11 +152,7 @@ def certify(
     pivot_sum = D.row_sum(cycle.pivot)
     checks.append(CheckResult("pivot_sum", 4 * pivot_sum, n * tau))
 
-    table = athome_table(D, family, mapping)
-    if isinstance(table, np.ndarray):
-        rows: list[list[Exact]] = [[int(x) for x in row] for row in table]
-    else:
-        rows = [list(row) for row in table]
+    rows: list[list[Exact]] = athome_table(D, family, mapping).tolist()
     M = len(rows)
     totals = [sum(row) for row in rows]
     avg = Fraction(sum(totals), M)

@@ -12,8 +12,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Union
+
+import numpy as np
 
 Number = Union[int, Fraction]
 
@@ -63,9 +66,24 @@ class DistanceMatrix:
         metric = not _metric_violations(d, n, cap=1)
         return cls(n=n, d=d, metric=metric)
 
-    @property
+    @cached_property
     def integral(self) -> bool:
         return all(isinstance(x, int) for row in self.d for x in row)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The distances as an (n, n) numpy array, built once per matrix.
+
+        int64 when every entry is an int and 2n^2 * max entry < 2^62, so any
+        sum of up to 2n^2 entries (a whole schedule's travel, splice terms
+        included) fits; otherwise dtype=object holding the exact ints and
+        Fractions, on which the same numpy code stays exact.
+        """
+        n = self.n
+        fits_int64 = self.integral and 2 * n * n * max(map(max, self.d)) < 1 << 62
+        arr = np.array(self.d, dtype=np.int64 if fits_int64 else object)
+        arr.flags.writeable = False  # shared by every caller, like d itself
+        return arr
 
     def row_sum(self, i: int) -> Number:
         return sum(self.d[i][j] for j in range(self.n) if j != i)

@@ -5,13 +5,24 @@ pivot always playing as team n-1) combined with a slot rotation m. All
 2(n-1)(2n-2) candidates are evaluated under the athome travel rule and the
 lexicographically first minimum (r, direction, m) wins, so results are
 deterministic and independent of evaluation order.
+
+No rotated schedule is built to score a candidate. Let u be team t's cyclic
+venue sequence in the base schedule (its home venue h where it plays at
+home, the opponent's venue elsewhere) and cyc the length of the closed walk
+u[0] -> u[1] -> ... -> u[L-1] -> u[0]. Under slot rotation m the team walks
+the same cycle cut open between slots m-1 and m, with home spliced in:
+
+    travel_m = cyc - d[u[m-1]][u[m]] + d[u[m-1]][h] + d[h][u[m]]
+
+One (n, 2n-2) gather per labeling thus scores all 2n-2 rotations: the scan
+is O(n^3), not the O(n^4) of walking every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,71 +160,57 @@ def assumption_a_route(
 
 @dataclass(frozen=True)
 class ScheduleFamily:
-    """The mirrored base schedule plus all its slot rotations, with stacked
-    arrays for vectorized evaluation."""
+    """The mirrored base schedule and its (n, 2n-2) opponent and home arrays.
+
+    Slot rotations are never built: by the splice identity (module docstring)
+    one cyclic walk per team through the base schedule prices all 2n-2 of
+    them, so a labeling costs O(n^2) and the scan O(n^3)."""
 
     n: int
     base: Schedule
-    rotations: tuple[Schedule, ...]
-    opp_all: np.ndarray  # (M, n, L) int16
-    home_all: np.ndarray  # (M, n, L) bool
+    opp: np.ndarray  # (n, L) intp: opponent of team t in base slot s
+    home: np.ndarray  # (n, L) bool: team t plays at home in base slot s
+    # Per team t and rotation m, flat indices into a row-major team-by-team
+    # (n, n) matrix of the legs u[m-1] -> u[m], u[m-1] -> h and h -> u[m].
+    cut: np.ndarray
+    back: np.ndarray
+    out: np.ndarray
 
 
 def schedule_family(n: int) -> ScheduleFamily:
     base = mirror_and_assign(n)
-    L = base.num_slots
-    rotations = tuple(rotate(base, m) for m in range(L))
-    opp_all = np.array([s.opp for s in rotations], dtype=np.int16)
-    home_all = np.array([s.home for s in rotations], dtype=bool)
-    return ScheduleFamily(n=n, base=base, rotations=rotations, opp_all=opp_all, home_all=home_all)
+    opp, home = np.array(base.opp, dtype=np.intp), np.array(base.home)
+    teams = np.arange(n)[:, None]
+    host = np.where(home, teams, opp)  # whose venue team t is at in base slot s
+    prev = np.roll(host, 1, axis=1)
+    return ScheduleFamily(n, base, opp, home, prev * n + host, prev * n + teams, teams * n + host)
 
 
-Table = Union[np.ndarray, list[list[Number]]]
+def _cyclic_walks(
+    D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per team, cyc (shape (n,)) and, per slot rotation m, the splice term
+    d[u[m-1]][h] + d[h][u[m]] - d[u[m-1]][u[m]] (shape (n, 2n-2)), in the
+    dtype of ``D.array``."""
+    venue = np.asarray(mapping, dtype=np.intp)
+    dv = D.array[venue][:, venue].ravel()  # distances between teams' venues
+    cut = dv[family.cut]
+    return cut.sum(axis=1), dv[family.back] + dv[family.out] - cut
 
 
-def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> Table:
-    """Per-slot-rotation, per-team athome distances: shape (2n-2, n).
-
-    Integral matrices take a vectorized exact-integer path; anything else
-    falls back to the reference evaluator.
-    """
-    if D.integral:
-        d_arr = np.array(D.d, dtype=np.int64)
-        map_arr = np.array(mapping, dtype=np.int64)
-        venues = np.where(
-            family.home_all,
-            map_arr[None, :, None],
-            map_arr[family.opp_all],
-        )
-        legs = d_arr[venues[:, :, :-1], venues[:, :, 1:]].sum(axis=2)
-        legs += d_arr[map_arr[None, :], venues[:, :, 0]]
-        legs += d_arr[venues[:, :, -1], map_arr[None, :]]
-        return legs
-    return [list(evaluate_athome(s, mapping, D)[0]) for s in family.rotations]
+def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
+    """Per-slot-rotation, per-team athome distances: shape (2n-2, n)."""
+    cyc, splice = _cyclic_walks(D, family, mapping)
+    return (cyc[:, None] + splice).T
 
 
-def assumption_a_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> Table:
-    """Per-slot-rotation, per-team distances under the first/last-slot rule."""
-    if D.integral:
-        d_arr = np.array(D.d, dtype=np.int64)
-        map_arr = np.array(mapping, dtype=np.int64)
-        venues = np.where(
-            family.home_all,
-            map_arr[None, :, None],
-            map_arr[family.opp_all],
-        )
-        legs = d_arr[venues[:, :, :-1], venues[:, :, 1:]].sum(axis=2)
-        away_both = ~family.home_all[:, :, 0] & ~family.home_all[:, :, -1]
-        wrap = d_arr[venues[:, :, -1], venues[:, :, 0]]
-        ends = d_arr[map_arr[None, :], venues[:, :, 0]] + d_arr[venues[:, :, -1], map_arr[None, :]]
-        return legs + np.where(away_both, wrap, ends)
-    return [list(evaluate_assumption_a(s, mapping, D)[0]) for s in family.rotations]
-
-
-def _table_totals(table: Table) -> list[Number]:
-    if isinstance(table, np.ndarray):
-        return [int(x) for x in table.sum(axis=1)]
-    return [sum(row) for row in table]
+def assumption_a_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
+    """Per-slot-rotation, per-team distances under the first/last-slot rule:
+    a team away in both end slots (base slots m and m-1) closes its walk into
+    the cycle cyc; every other team travels its athome distance."""
+    cyc, splice = _cyclic_walks(D, family, mapping)
+    away_ends = ~family.home & ~np.roll(family.home, 1, axis=1)
+    return np.where(away_ends, cyc[:, None], cyc[:, None] + splice).T
 
 
 def solve(
@@ -243,18 +240,18 @@ def solve(
     for r in range(n - 1):
         for di, direction in enumerate(DIRECTIONS):
             mapping = team_assignment(pivoted, r, direction)
-            totals = _table_totals(athome_table(D, family, mapping))
-            for m, tot in enumerate(totals):
-                if keep_candidates:
-                    candidates.append((r, direction, m, tot))
-                if best is None or tot < best[0]:
-                    best = (tot, r, di, m)
+            totals = athome_table(D, family, mapping).sum(axis=1).tolist()
+            if keep_candidates:
+                candidates.extend((r, direction, m, tot) for m, tot in enumerate(totals))
+            low = min(totals)
+            if best is None or low < best[0]:
+                best = (low, r, di, totals.index(low))
 
     assert best is not None
     total, r, di, m = best
     direction = DIRECTIONS[di]
     mapping = team_assignment(pivoted, r, direction)
-    out_sched = relabel(family.rotations[m], mapping)
+    out_sched = relabel(rotate(family.base, m), mapping)
     per_team, check_total = evaluate_athome(out_sched, tuple(range(n)), D)
     if check_total != total:
         raise InternalCheckError(

@@ -6,6 +6,7 @@ from uttp import (
     gap_percent,
     lower_bound,
     random_euclidean_instance,
+    rotate,
     solve,
 )
 from uttp.analysis import render_gap
@@ -75,9 +76,8 @@ def test_certificate_matches_naive_recomputation():
     # rotation mean recomputed with the independent walker
     family = schedule_family(n)
     mapping = team_assignment(pc, 0, "forward")
-    totals = [
-        route_walk(s.opp, s.home, mapping, D.d)[1] for s in family.rotations
-    ]
+    rotations = [rotate(family.base, m) for m in range(2 * n - 2)]
+    totals = [route_walk(s.opp, s.home, mapping, D.d)[1] for s in rotations]
     avg = mean(totals)
     assert cert.avg_bound_lhs == avg
     rhs = (

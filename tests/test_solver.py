@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uttp import (
+    DistanceMatrix,
     SolverError,
     assumption_a_route,
     build_pivoted_cycle,
@@ -21,7 +22,7 @@ from uttp import (
     solve,
     team_assignment,
 )
-from uttp.solver import athome_table, schedule_family
+from uttp.solver import assumption_a_table, athome_table, schedule_family
 
 from independent import mean, route_walk
 
@@ -110,9 +111,52 @@ def test_fast_table_matches_reference():
     pc = build_pivoted_cycle(D)
     mapping = team_assignment(pc, 2, "forward")
     table = athome_table(D, family, mapping)
-    for m, sched in enumerate(family.rotations):
-        per_team, _ = evaluate_athome(sched, mapping, D)
+    for m in range(2 * 8 - 2):
+        per_team, _ = evaluate_athome(rotate(family.base, m), mapping, D)
         assert [int(x) for x in table[m]] == list(per_team)
+
+
+def _instance(n, seed, rational):
+    if not rational:
+        return random_euclidean_instance(n, seed)
+    # one-decimal distances: a metric instance in a 10x box, scaled by 1/10
+    D = random_euclidean_instance(n, seed, box=10000.0)
+    return DistanceMatrix.from_rows([[Fraction(x, 10) for x in row] for row in D.d])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10, 12, 14]),
+    seed=st.integers(0, 2**32 - 1),
+    rational=st.booleans(),
+    data=st.data(),
+)
+def test_tables_match_rotated_walks(n, seed, rational, data):
+    # the splice identity against walking every rotation, for any labeling
+    D = _instance(n, seed, rational)
+    mapping = data.draw(st.permutations(range(n)))
+    family = schedule_family(n)
+    home = athome_table(D, family, mapping).tolist()
+    rule_a = assumption_a_table(D, family, mapping).tolist()
+    assert len(home) == len(rule_a) == 2 * n - 2
+    for m in range(2 * n - 2):
+        sched = rotate(family.base, m)
+        assert home[m] == list(evaluate_athome(sched, mapping, D)[0])
+        assert rule_a[m] == list(evaluate_assumption_a(sched, mapping, D)[0])
+
+
+@pytest.mark.parametrize("shift", [50, 58])
+def test_scaled_nl8_is_exact_past_int64(nl8, shift):
+    # sums of 2n^2 such entries overflow int64 (and at 2^58 so do the
+    # entries), so the scan must switch to exact Python integers
+    big = DistanceMatrix.from_rows([[x << shift for x in row] for row in nl8.d])
+    assert big.array.dtype == object
+    report, sched = solve(big, mode="christofides", cap=3)
+    ref, ref_sched = solve(nl8, mode="christofides", cap=3)
+    assert report.best_transform == ref.best_transform
+    assert report.total_distance == ref.total_distance << shift
+    assert report.per_team_distances == tuple(x << shift for x in ref.per_team_distances)
+    assert sched == ref_sched
 
 
 # --- first/last-slot travel rule ---
@@ -246,8 +290,6 @@ def test_solve_non_metric_voids_guarantees():
     D = random_euclidean_instance(4, 9)
     rows = [list(r) for r in D.d]
     rows[0][1] = rows[1][0] = rows[0][2] + rows[2][1] + 50  # break one triple
-    from uttp import DistanceMatrix
-
     bad = DistanceMatrix.from_rows(rows)
     assert not bad.metric
     report, _ = solve(bad, want_certificate=False)
@@ -304,8 +346,6 @@ def test_solve_total_at_most_rotation_mean(nl8):
 
 def test_solve_fraction_matrix_end_to_end():
     # quarter-unit distances force the exact-rational paths everywhere
-    from uttp import DistanceMatrix
-
     base = random_euclidean_instance(6, 13)
     rows = [[Fraction(x, 4) for x in row] for row in base.d]
     D = DistanceMatrix.from_rows(rows)
