@@ -232,7 +232,7 @@ def cmd_bench(args) -> int:
     directory = Path(args.instance_dir)
     if not directory.is_dir():
         raise CliError(EXIT_INVALID_INSTANCE, f"not a directory: {directory}")
-    mode, _ = _parse_tsp_mode(args.tsp) if args.tsp != "exact" else ("exact", None)
+    mode = args.tsp
     entries = _discover_instances(directory)
     if args.max_n is not None:
         entries = [e for e in entries if e[1] <= args.max_n]
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark table over a directory of instances")
     p.add_argument("instance_dir")
-    p.add_argument("--tsp", default="exact", help="exact | christofides")
+    p.add_argument("--tsp", choices=("exact", "christofides"), default="exact")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--hk-cap", type=int, default=HELD_KARP_CAP)

@@ -2,8 +2,9 @@
 
 Instance files are plain text: whitespace-separated numbers, either exactly
 n*n tokens (row-major square matrix) or a leading token n followed by n*n
-tokens. Integral files parse to ints; anything else parses to exact
-``Fraction``s, so downstream arithmetic never accumulates float error.
+tokens. Integral files parse to ints; a file with any other token parses to
+exact ``Fraction``s throughout, so downstream arithmetic never accumulates
+float error and never mixes ints with Fractions.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class DistanceMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Number]]) -> "DistanceMatrix":
         d = tuple(tuple(row) for row in rows)
+        if not all(isinstance(x, int) for row in d for x in row):
+            # one number type per matrix: a sum of entries has one type too
+            d = tuple(tuple(Fraction(x) for x in row) for row in d)
         n = len(d)
         if n < 1 or any(len(row) != n for row in d):
             raise InstanceError("distance matrix must be square")

@@ -109,27 +109,14 @@ def brute_force_tsp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = Non
         raise TspError(f"need at least 3 vertices, got {k}")
     if k > BRUTE_FORCE_MAX:
         raise TspError(f"{k} vertices exceeds the brute-force cap of {BRUTE_FORCE_MAX}")
-    if D.integral:
-        rest = np.array(verts[1:])
-        perms = np.array(list(itertools.permutations(range(k - 1))), dtype=np.int8)
-        perms = perms[perms[:, 0] < perms[:, -1]]  # drop mirror images
-        seqs = rest[perms]
-        full = np.concatenate(
-            [np.full((len(seqs), 1), verts[0], dtype=seqs.dtype), seqs], axis=1
-        )
-        d_arr = np.array(D.d, dtype=np.int64)
-        lens = d_arr[full[:, :-1], full[:, 1:]].sum(axis=1) + d_arr[full[:, -1], full[:, 0]]
-        i = int(np.argmin(lens))
-        return Tour.from_vertices(D, [int(v) for v in full[i]])
-    d = D.d
-    best_len: Optional[Number] = None
-    best_seq: Optional[tuple[int, ...]] = None
-    for perm in itertools.permutations(verts[1:]):
-        if perm[0] > perm[-1]:
-            continue
-        seq = (verts[0],) + perm
-        length = sum(d[seq[i]][seq[(i + 1) % k]] for i in range(k))
-        if best_len is None or length < best_len:
-            best_len, best_seq = length, seq
-    assert best_seq is not None
-    return Tour.from_vertices(D, best_seq)
+    rest = np.array(verts[1:])
+    perms = np.array(list(itertools.permutations(range(k - 1))), dtype=np.int8)
+    perms = perms[perms[:, 0] < perms[:, -1]]  # drop mirror images
+    seqs = rest[perms]
+    full = np.concatenate(
+        [np.full((len(seqs), 1), verts[0], dtype=seqs.dtype), seqs], axis=1
+    )
+    d_arr = D.array
+    lens = d_arr[full[:, :-1], full[:, 1:]].sum(axis=1) + d_arr[full[:, -1], full[:, 0]]
+    i = int(np.argmin(lens))  # first minimum in itertools.permutations order
+    return Tour.from_vertices(D, [int(v) for v in full[i]])

@@ -8,7 +8,7 @@ callers can report exactly what broke instead of a bare boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 class ScheduleError(ValueError):
@@ -244,9 +244,3 @@ def parse_schedule_rows(text: str) -> Schedule:
         home_rows.append(tuple(home_row))
     return Schedule(n=n, opp=tuple(opp_rows), home=tuple(home_rows))
 
-
-CHECKERS: dict[str, Callable[[Schedule], list[Violation]]] = {
-    "drr": check_drr,
-    "mirrored": check_mirrored,
-    "no_repeater": check_no_repeater,
-}

@@ -258,11 +258,10 @@ def solve(
             f"fast evaluation ({total}) disagrees with reference walk ({check_total})"
         )
 
-    lower = n * tau if tau is not None else None
-    if lower is not None and lower > 0:
-        gap: Optional[Fraction] = (Fraction(total, lower) - 1) * 100
-    else:
-        gap = None
+    from .analysis import certify, gap_percent, lower_bound
+
+    lower = lower_bound(D, tau) if tau is not None else None
+    gap = gap_percent(total, lower) if lower is not None else None
     guarantees = D.metric and (
         mode == "exact" or (mode == "christofides" and bool(pivoted.matching_exact))
     )
@@ -270,8 +269,6 @@ def solve(
 
     certificate = None
     if want_certificate and tau is not None:
-        from .analysis import certify
-
         certificate = certify(
             D, pivoted, family, tau, total=total, ratio_bound=ratio_bound
         )

@@ -3,6 +3,11 @@ minimum-weight perfect matchings, and the pivoted cycle the scheduler needs.
 
 All tie-breaks (DP, MST, matching, Euler traversal) resolve to the lowest
 vertex index so outputs are bit-for-bit reproducible.
+
+The exact DP runs on ``DistanceMatrix.array``, one code path for every
+input: int64 when a magnitude bound proves no sum can overflow, otherwise
+numpy dtype=object holding the exact ints or Fractions, so huge integers and
+rationals give exact tours with the same tie-breaks.
 """
 
 from __future__ import annotations
@@ -106,19 +111,16 @@ def held_karp(
         raise TspError(f"need at least 3 vertices, got {k}")
     if k > cap:
         raise TspError(f"{k} vertices exceeds the exact-DP cap of {cap}")
-    if D.integral:
-        order = _held_karp_ints(D, verts)
-    else:
-        order = _held_karp_exact(D, verts)
-    return Tour.from_vertices(D, order)
+    return Tour.from_vertices(D, _held_karp(D, verts))
 
 
-def _held_karp_ints(D: DistanceMatrix, verts: list[int]) -> list[int]:
+def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
+    """Subset DP in the dtype of ``D.array``; returns the cycle from verts[0]."""
     k = len(verts)
-    dist = np.array([[D.d[u][v] for v in verts] for u in verts], dtype=np.int64)
+    dist = D.array[np.ix_(verts, verts)]
     size = 1 << k
-    INF = np.iinfo(np.int64).max // 4
-    dp = np.full((size, k), INF, dtype=np.int64)
+    INF = k * dist.max() + 1  # longer than any Hamilton path on these vertices
+    dp = np.full((size, k), INF, dtype=dist.dtype)
     parent = np.full((size, k), -1, dtype=np.int8)
     dp[1, 0] = 0
     for mask in range(3, size, 2):  # masks containing the start vertex 0
@@ -128,7 +130,7 @@ def _held_karp_ints(D: DistanceMatrix, verts: list[int]) -> list[int]:
         js = np.array(members)
         prev_masks = mask ^ (1 << js)
         cand = dp[prev_masks] + dist[:, js].T  # (m, k): via each last vertex
-        arg = np.argmin(cand, axis=1)
+        arg = np.argmin(cand, axis=1)  # first minimum: ties break low
         dp[mask, js] = cand[np.arange(len(js)), arg]
         parent[mask, js] = arg
     full = size - 1
@@ -143,46 +145,6 @@ def _held_karp_ints(D: DistanceMatrix, verts: list[int]) -> list[int]:
         mask ^= 1 << j
         j = j2
     order.reverse()  # starts at vertex 0
-    return [verts[i] for i in order]
-
-
-def _held_karp_exact(D: DistanceMatrix, verts: list[int]) -> list[int]:
-    """Plain-Python DP for non-integral (Fraction) distances; small k only."""
-    k = len(verts)
-    d = [[D.d[u][v] for v in verts] for u in verts]
-    dp: list[dict[int, Number]] = [dict() for _ in range(1 << k)]
-    par: list[dict[int, int]] = [dict() for _ in range(1 << k)]
-    dp[1][0] = 0
-    for mask in range(3, 1 << k, 2):
-        for j in range(1, k):
-            if not (mask >> j) & 1:
-                continue
-            prev = mask ^ (1 << j)
-            best = None
-            best_i = -1
-            for i, cost in dp[prev].items():
-                val = cost + d[i][j]
-                if best is None or val < best or (val == best and i < best_i):
-                    best, best_i = val, i
-            if best is not None:
-                dp[mask][j] = best
-                par[mask][j] = best_i
-    full = (1 << k) - 1
-    best = None
-    best_j = -1
-    for j in range(1, k):
-        if j in dp[full]:
-            val = dp[full][j] + d[j][0]
-            if best is None or val < best or (val == best and j < best_j):
-                best, best_j = val, j
-    order = []
-    mask, j = full, best_j
-    while j != -1:
-        order.append(j)
-        j2 = par[mask].get(j, -1)
-        mask ^= 1 << j
-        j = j2
-    order.reverse()
     return [verts[i] for i in order]
 
 

@@ -73,6 +73,26 @@ def test_solve_dump_candidates(capsys):
     assert min(c["total"] for c in doc["candidates"]) == 8276
 
 
+def test_solve_mixed_tokens_print_every_value_as_float(tmp_path, capsys):
+    # one decimal token makes the whole matrix rational, so JSON prints every
+    # travel value as a float, integral or not (the all-decimal rule)
+    rows = [line.split() for line in (INSTANCES / "nl6.txt").read_text().splitlines()]
+    rows[0][1] = rows[1][0] = "744.5"
+    path = tmp_path / "mixed6.txt"
+    path.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+    code, out, _ = run_cli(
+        capsys, "solve", str(path), "--format", "json", "--dump-candidates"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    totals = [c["total"] for c in doc["candidates"]]
+    assert len(totals) == 2 * 5 * 10
+    assert all(isinstance(t, float) for t in totals)
+    assert any(t.is_integer() for t in totals)
+    assert isinstance(doc["tau"], float)
+    assert all(isinstance(x, float) for x in doc["per_team_distances"])
+
+
 def test_solve_tour_file_mode(tmp_path, capsys):
     tour = tmp_path / "nl4.tour"
     tour.write_text("0 2 1 3\n")
@@ -220,6 +240,14 @@ def test_bench_zero_matrix_gap_na(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bench", str(d), "--format", "csv")
     assert code == 0
     assert "zero,4,0,0,n/a" in out
+
+
+def test_bench_rejects_tour_file_mode_at_parse_time(capsys):
+    # bench has no tour argument, so only the two built-in modes parse
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(INSTANCES), "--tsp", "tour-file=x"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_bench_empty_directory(tmp_path, capsys):

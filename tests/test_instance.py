@@ -46,6 +46,13 @@ def test_parse_fractional_tokens():
     assert not D.integral
 
 
+def test_parse_mixed_tokens_all_fractions():
+    D = parse_distance_matrix("0 1.5 2\n1.5 0 1\n2 1 0")
+    assert all(type(x) is Fraction for row in D.d for x in row)
+    assert D.d[0][2] == 2
+    assert not D.integral
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1,6 +1,7 @@
 import pytest
 
 from uttp import (
+    DistanceMatrix,
     brute_force_tsp,
     check_drr,
     evaluate_athome,
@@ -49,8 +50,6 @@ def test_oracle_brackets_solver(seed):
 
 
 def test_brute_force_triangle():
-    from uttp import DistanceMatrix
-
     D = DistanceMatrix.from_rows([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
     assert brute_force_tsp(D).length == 9
 
@@ -65,6 +64,12 @@ def test_brute_force_line(line4):
 def test_brute_force_equals_held_karp():
     D = random_euclidean_instance(8, 77)
     assert brute_force_tsp(D).length == held_karp(D).length
+
+
+def test_brute_force_exact_past_int64(nl8):
+    # every nonzero entry exceeds 2^63, so int64 cannot hold even one leg
+    big = DistanceMatrix.from_rows([[x << 58 for x in row] for row in nl8.d])
+    assert brute_force_tsp(big).length == held_karp(nl8).length << 58
 
 
 def test_brute_force_size_limits():

@@ -145,18 +145,21 @@ def test_tables_match_rotated_walks(n, seed, rational, data):
         assert rule_a[m] == list(evaluate_assumption_a(sched, mapping, D)[0])
 
 
+@pytest.mark.parametrize("mode", ["christofides", "exact"])
 @pytest.mark.parametrize("shift", [50, 58])
-def test_scaled_nl8_is_exact_past_int64(nl8, shift):
+def test_scaled_nl8_is_exact_past_int64(nl8, shift, mode):
     # sums of 2n^2 such entries overflow int64 (and at 2^58 so do the
-    # entries), so the scan must switch to exact Python integers
+    # entries), so the scan and Held-Karp must switch to exact Python integers
     big = DistanceMatrix.from_rows([[x << shift for x in row] for row in nl8.d])
     assert big.array.dtype == object
-    report, sched = solve(big, mode="christofides", cap=3)
-    ref, ref_sched = solve(nl8, mode="christofides", cap=3)
+    report, sched = solve(big, mode=mode)
+    ref, ref_sched = solve(nl8, mode=mode)
     assert report.best_transform == ref.best_transform
     assert report.total_distance == ref.total_distance << shift
     assert report.per_team_distances == tuple(x << shift for x in ref.per_team_distances)
     assert sched == ref_sched
+    assert report.tau == ref.tau << shift
+    assert report.certificate.all_ok
 
 
 # --- first/last-slot travel rule ---

@@ -70,10 +70,23 @@ def test_held_karp_size_limits(line4):
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(5, 9), seed=st.integers(0, 2**32 - 1))
-def test_held_karp_equals_brute_force(n, seed):
-    D = random_euclidean_instance(n, seed)
+@given(
+    n=st.integers(5, 9),
+    seed=st.integers(0, 2**32 - 1),
+    box=st.sampled_from([50.0, 1000.0]),  # a small box makes ties common
+    rational=st.booleans(),
+)
+def test_held_karp_equals_brute_force(n, seed, box, rational):
+    D = random_euclidean_instance(n, seed, box=box)
     assert held_karp(D).length == brute_force_tsp(D).length
+    if rational:
+        # the quarter-unit twin runs on exact Fractions and must break every
+        # tie exactly as the integer instance does
+        Q = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
+        for tour_of in (held_karp, brute_force_tsp):
+            tour, twin = tour_of(D), tour_of(Q)
+            assert twin.vertices == tour.vertices
+            assert twin.length == Fraction(tour.length, 4)
 
 
 def test_held_karp_fraction_matrix():
