@@ -145,9 +145,7 @@ def test_tables_match_rotated_walks(n, seed, rational, data):
         assert rule_a[m] == list(evaluate_assumption_a(sched, mapping, D)[0])
 
 
-@pytest.mark.parametrize("mode", ["christofides", "exact"])
-@pytest.mark.parametrize("shift", [50, 58])
-def test_scaled_nl8_is_exact_past_int64(nl8, shift, mode):
+def _check_scaled_nl8(nl8, shift, mode):
     # sums of 2n^2 such entries overflow int64 (and at 2^58 so do the
     # entries), so the scan and Held-Karp must switch to exact Python integers
     big = DistanceMatrix.from_rows([[x << shift for x in row] for row in nl8.d])
@@ -160,6 +158,16 @@ def test_scaled_nl8_is_exact_past_int64(nl8, shift, mode):
     assert sched == ref_sched
     assert report.tau == ref.tau << shift
     assert report.certificate.all_ok
+
+
+@pytest.mark.parametrize("shift", [50, 58])
+def test_scaled_nl8_is_exact_past_int64(nl8, shift):
+    _check_scaled_nl8(nl8, shift, "christofides")
+
+
+@pytest.mark.parametrize("shift", [50, 58])
+def test_scaled_nl8_exact_mode_past_int64(nl8, shift):
+    _check_scaled_nl8(nl8, shift, "exact")
 
 
 # --- first/last-slot travel rule ---
