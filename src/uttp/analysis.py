@@ -78,34 +78,6 @@ class BoundCertificate:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def edge_max_ok(self) -> bool:
-        return self.check("edge_max").ok
-
-    @property
-    def hamilton_ok(self) -> bool:
-        return self.check("hamilton").ok
-
-    @property
-    def pair_sum_ok(self) -> bool:
-        return self.check("pair_sum").ok
-
-    @property
-    def pivot_sum_ok(self) -> bool:
-        return self.check("pivot_sum").ok
-
-    @property
-    def avg_bound_lhs(self) -> Exact:
-        return self.check("avg_bound").lhs
-
-    @property
-    def avg_bound_rhs(self) -> Exact:
-        return self.check("avg_bound").rhs
-
-    @property
-    def ratio_ok(self) -> bool:
-        return self.check("ratio").ok
-
 
 def certify(
     D: DistanceMatrix,

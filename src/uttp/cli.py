@@ -312,8 +312,8 @@ def cmd_oracle(args) -> int:
         ("explored_nodes", res.explored),
     ]
     if args.format == "json":
-        doc = {k: v for k, v in pairs}
-        doc["per_team_distances"] = list(per_team)
+        doc = {k: _num(v) for k, v in pairs}
+        doc["per_team_distances"] = [_num(x) for x in per_team]
         doc["schedule_rows"] = render_schedule(res.schedule, "rows").splitlines()
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":

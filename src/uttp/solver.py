@@ -119,18 +119,14 @@ def evaluate_assumption_a(
 ) -> tuple[tuple[Number, ...], Number]:
     """Like evaluate_athome, except a team that is away in both the first
     and last slot travels last-venue -> first-venue instead of the two legs
-    through home, which closes its route into a cycle."""
+    through home. A team at home in an end slot has its home venue at that
+    end, so the legs through home are that same direct leg (d[h][h] = 0):
+    every team travels the closed walk through its slot venues."""
     d = D.d
     per_team = []
     for t in range(sched.n):
-        home_v = mapping[t]
         seq = _venues(sched, mapping, t)
-        legs = sum(d[seq[i]][seq[i + 1]] for i in range(len(seq) - 1))
-        if not sched.home[t][0] and not sched.home[t][-1]:
-            legs += d[seq[-1]][seq[0]]
-        else:
-            legs += d[home_v][seq[0]] + d[seq[-1]][home_v]
-        per_team.append(legs)
+        per_team.append(sum(d[seq[i - 1]][seq[i]] for i in range(len(seq))))
     return tuple(per_team), sum(per_team)
 
 
@@ -160,16 +156,15 @@ def assumption_a_route(
 
 @dataclass(frozen=True)
 class ScheduleFamily:
-    """The mirrored base schedule and its (n, 2n-2) opponent and home arrays.
+    """The mirrored base schedule and, per team and slot rotation, the flat
+    indices of the legs the splice identity (module docstring) reads.
 
-    Slot rotations are never built: by the splice identity (module docstring)
-    one cyclic walk per team through the base schedule prices all 2n-2 of
-    them, so a labeling costs O(n^2) and the scan O(n^3)."""
+    Slot rotations are never built: one cyclic walk per team through the
+    base schedule prices all 2n-2 of them, so a labeling costs O(n^2) and
+    the scan O(n^3). Rule A needs the cyclic walk alone."""
 
     n: int
     base: Schedule
-    opp: np.ndarray  # (n, L) intp: opponent of team t in base slot s
-    home: np.ndarray  # (n, L) bool: team t plays at home in base slot s
     # Per team t and rotation m, flat indices into a row-major team-by-team
     # (n, n) matrix of the legs u[m-1] -> u[m], u[m-1] -> h and h -> u[m].
     cut: np.ndarray
@@ -179,11 +174,11 @@ class ScheduleFamily:
 
 def schedule_family(n: int) -> ScheduleFamily:
     base = mirror_and_assign(n)
-    opp, home = np.array(base.opp, dtype=np.intp), np.array(base.home)
+    home, opp = np.array(base.home), np.array(base.opp, dtype=np.intp)
     teams = np.arange(n)[:, None]
     host = np.where(home, teams, opp)  # whose venue team t is at in base slot s
     prev = np.roll(host, 1, axis=1)
-    return ScheduleFamily(n, base, opp, home, prev * n + host, prev * n + teams, teams * n + host)
+    return ScheduleFamily(n, base, prev * n + host, prev * n + teams, teams * n + host)
 
 
 def _cyclic_walks(
@@ -205,12 +200,11 @@ def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[in
 
 
 def assumption_a_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
-    """Per-slot-rotation, per-team distances under the first/last-slot rule:
-    a team away in both end slots (base slots m and m-1) closes its walk into
-    the cycle cyc; every other team travels its athome distance."""
-    cyc, splice = _cyclic_walks(D, family, mapping)
-    away_ends = ~family.home & ~np.roll(family.home, 1, axis=1)
-    return np.where(away_ends, cyc[:, None], cyc[:, None] + splice).T
+    """Per-slot-rotation, per-team distances under the first/last-slot rule,
+    shape (2n-2, n): every team travels its closed walk cyc (see
+    evaluate_assumption_a), whatever the rotation."""
+    cyc, _ = _cyclic_walks(D, family, mapping)
+    return np.tile(cyc, (2 * family.n - 2, 1))
 
 
 def solve(

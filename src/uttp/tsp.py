@@ -76,8 +76,7 @@ class PivotedCycle:
     pivot: int
     cycle: tuple[int, ...]
     cycle_length: Number
-    mode: str  # exact | christofides | tour_file
-    matching_exact: Optional[bool]  # None unless mode == christofides
+    matching_exact: Optional[bool]  # None unless built by christofides
     full_tour: Optional[Tour]  # the all-vertex cycle the pivot was skipped from
 
 
@@ -123,10 +122,8 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     dp = np.full((size, k), INF, dtype=dist.dtype)
     parent = np.full((size, k), -1, dtype=np.int8)
     dp[1, 0] = 0
-    for mask in range(3, size, 2):  # masks containing the start vertex 0
+    for mask in range(3, size, 2):  # start vertex 0 and at least one other
         members = [j for j in range(1, k) if (mask >> j) & 1]
-        if not members:
-            continue
         js = np.array(members)
         prev_masks = mask ^ (1 << js)
         cand = dp[prev_masks] + dist[:, js].T  # (m, k): via each last vertex
@@ -134,8 +131,7 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
         dp[mask, js] = cand[np.arange(len(js)), arg]
         parent[mask, js] = arg
     full = size - 1
-    closing = dp[full] + dist[:, 0]
-    closing[0] = INF
+    closing = dp[full] + dist[:, 0]  # closing[0] stays INF: dp[full, 0] is never set
     j = int(np.argmin(closing))
     order = []
     mask = full
@@ -151,11 +147,10 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
 def min_weight_perfect_matching(
     D: DistanceMatrix,
     odd_set: Iterable[int],
-    exact_threshold: int = MATCHING_EXACT_MAX,
 ) -> Matching:
     """Pair up an even-cardinality vertex set at minimum total distance.
 
-    Exact subset DP up to ``exact_threshold`` vertices; greedy nearest-pair
+    Exact subset DP up to ``MATCHING_EXACT_MAX`` vertices; greedy nearest-pair
     plus pairwise-swap improvement beyond that, with the mode recorded.
     """
     verts = _check_vertex_set(D, odd_set)
@@ -163,7 +158,7 @@ def min_weight_perfect_matching(
         raise TspError(f"matching needs an even vertex count, got {len(verts)}")
     if not verts:
         return Matching(pairs=(), weight=0, exact=True)
-    if len(verts) <= exact_threshold:
+    if len(verts) <= MATCHING_EXACT_MAX:
         pairs, weight = _matching_dp(D, verts)
         return Matching(pairs=pairs, weight=weight, exact=True)
     pairs, weight = _matching_greedy_swap(D, verts)
@@ -188,11 +183,9 @@ def _matching_dp(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, 
         while j:
             jbit = j & -j
             jj = jbit.bit_length() - 1
-            sub = best[rest ^ jbit]
-            if sub is not None:
-                val = sub + d[verts[i]][verts[jj]]
-                if b is None or val < b:
-                    b, ch = val, (i, jj)
+            val = best[rest ^ jbit] + d[verts[i]][verts[jj]]  # every even sub-mask is set
+            if b is None or val < b:
+                b, ch = val, (i, jj)
             j ^= jbit
         best[mask] = b
         choice[mask] = ch
@@ -288,7 +281,6 @@ class ChristofidesResult:
 def christofides(
     D: DistanceMatrix,
     vertex_set: Optional[Iterable[int]] = None,
-    matching_threshold: int = MATCHING_EXACT_MAX,
 ) -> ChristofidesResult:
     """MST + odd-vertex matching + Euler circuit + first-visit shortcutting.
 
@@ -304,7 +296,7 @@ def christofides(
         degree[a] += 1
         degree[b] += 1
     odd = [v for v in verts if degree[v] % 2 == 1]
-    matching = min_weight_perfect_matching(D, odd, exact_threshold=matching_threshold)
+    matching = min_weight_perfect_matching(D, odd)
     adj: dict[int, list[int]] = {v: [] for v in verts}
     for a, b in list(mst) + list(matching.pairs):
         adj[a].append(b)
@@ -334,10 +326,6 @@ def parse_tour_file(text: str, n: int) -> tuple[int, ...]:
     return seq
 
 
-def _skip_vertex(seq: Sequence[int], pivot: int) -> list[int]:
-    return [v for v in seq if v != pivot]
-
-
 def build_pivoted_cycle(
     D: DistanceMatrix,
     mode: str = "exact",
@@ -349,45 +337,38 @@ def build_pivoted_cycle(
     exact: shortest all-vertex cycle, then skip the pivot (its neighbours
     join directly; the triangle inequality means no length increase).
     christofides: 1.5-ratio cycle built directly on the non-pivot vertices.
-    tour_file: apply the same pivot-skipping to a supplied all-vertex tour.
+    tour_file: a supplied all-vertex tour, which must be a shortest cycle;
+    it is checked against Held-Karp when n <= cap and trusted past the cap,
+    then the pivot is skipped as in exact mode.
     """
     if D.n % 2 != 0 or D.n < 4:
         raise TspError(f"need an even vertex count >= 4, got {D.n}")
     pivot = select_pivot(D)
+    matching_exact: Optional[bool] = None
+    full: Optional[Tour] = None
     if mode == "exact":
         full = held_karp(D, cap=cap)
-        cycle = _canonical_cycle(_skip_vertex(full.vertices, pivot))
-        return PivotedCycle(
-            pivot=pivot,
-            cycle=cycle,
-            cycle_length=cycle_length(D, cycle),
-            mode="exact",
-            matching_exact=None,
-            full_tour=full,
-        )
-    if mode == "christofides":
+    elif mode == "christofides":
         res = christofides(D, [v for v in range(D.n) if v != pivot])
-        return PivotedCycle(
-            pivot=pivot,
-            cycle=res.tour.vertices,
-            cycle_length=res.tour.length,
-            mode="christofides",
-            matching_exact=res.matching_exact,
-            full_tour=None,
-        )
-    if mode == "tour_file":
+        cycle, matching_exact = res.tour, res.matching_exact
+    elif mode == "tour_file":
         if tour is None:
             raise TspError("tour_file mode needs a tour")
         if sorted(tour) != list(range(D.n)):
             raise TspError(f"supplied tour must be a permutation of 0..{D.n - 1}")
         full = Tour.from_vertices(D, tour)
-        cycle = _canonical_cycle(_skip_vertex(full.vertices, pivot))
-        return PivotedCycle(
-            pivot=pivot,
-            cycle=cycle,
-            cycle_length=cycle_length(D, cycle),
-            mode="tour_file",
-            matching_exact=None,
-            full_tour=full,
-        )
-    raise TspError(f"unknown mode {mode!r}")
+        if D.n <= cap and full.length > (tau := held_karp(D, cap=cap).length):
+            raise TspError(
+                f"supplied tour has length {full.length}, longer than the shortest cycle ({tau})"
+            )
+    else:
+        raise TspError(f"unknown mode {mode!r}")
+    if full is not None:
+        cycle = Tour.from_vertices(D, [v for v in full.vertices if v != pivot])
+    return PivotedCycle(
+        pivot=pivot,
+        cycle=cycle.vertices,
+        cycle_length=cycle.length,
+        matching_exact=matching_exact,
+        full_tour=full,
+    )

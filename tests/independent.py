@@ -30,6 +30,34 @@ def route_walk(opp_rows, home_rows, mapping, dist):
     return per_team, sum(per_team)
 
 
+def rule_a_walk(opp_rows, home_rows, mapping, dist):
+    """Travel totals under the first/last-slot rule ("Assumption A"), walked
+    from its definition: a team leaves home before its first slot and
+    returns home after its last, except that a team away in both the first
+    and the last slot travels its last venue -> first venue directly.
+    Returns (per_team list, total).
+    """
+    n = len(opp_rows)
+    per_team = []
+    for t in range(n):
+        home = mapping[t]
+        venues = []
+        for s in range(len(opp_rows[t])):
+            if home_rows[t][s]:
+                venues.append(home)
+            else:
+                venues.append(mapping[opp_rows[t][s]])
+        travelled = 0
+        for a, b in zip(venues, venues[1:]):
+            travelled += dist[a][b]
+        if not home_rows[t][0] and not home_rows[t][-1]:
+            travelled += dist[venues[-1]][venues[0]]
+        else:
+            travelled += dist[home][venues[0]] + dist[venues[-1]][home]
+        per_team.append(travelled)
+    return per_team, sum(per_team)
+
+
 def cycle_len(dist, seq):
     total = 0
     for i, a in enumerate(seq):

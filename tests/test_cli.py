@@ -105,6 +105,17 @@ def test_solve_tour_file_mode(tmp_path, capsys):
     assert "guarantees_valid: False" in out
 
 
+def test_solve_rejects_tour_longer_than_shortest_cycle(tmp_path, capsys):
+    tour = tmp_path / "nl6.tour"
+    tour.write_text("0 1 2 3 4 5\n")  # length 4116, shortest cycle 2971
+    code, out, err = run_cli(
+        capsys, "solve", str(INSTANCES / "nl6.txt"), "--tsp", f"tour-file={tour}"
+    )
+    assert code == 2
+    assert out == ""
+    assert "longer than the shortest cycle (2971)" in err
+
+
 def test_solve_stdin(capsys, monkeypatch):
     text = (INSTANCES / "nl4.txt").read_text()
     import io
@@ -264,6 +275,17 @@ def test_oracle_cli(capsys):
     assert "total_distance: 8276" in out
     assert "tsp_mode: oracle" in out
     assert "explored_nodes:" in out
+
+
+def test_oracle_cli_json_rational(tmp_path, capsys):
+    inst = tmp_path / "q4.txt"
+    inst.write_text("0 1.5 2 2\n1.5 0 2 2\n2 2 0 1\n2 2 1 0\n")
+    code, out, _ = run_cli(capsys, "oracle", str(inst), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tau"] == 6.5
+    assert doc["lower_bound"] == 26.0
+    assert sum(doc["per_team_distances"]) == doc["total_distance"]
 
 
 def test_oracle_cli_rejects_big(capsys):

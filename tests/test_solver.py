@@ -24,7 +24,7 @@ from uttp import (
 )
 from uttp.solver import assumption_a_table, athome_table, schedule_family
 
-from independent import mean, route_walk
+from independent import mean, route_walk, rule_a_walk
 
 
 def identity(n):
@@ -193,6 +193,25 @@ def test_assumption_a_invariant_over_rotations():
         assert per_team == reference
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 6, 8, 10]), quarter=st.booleans(), data=st.data())
+def test_assumption_a_matches_rule_walk(n, quarter, data):
+    # arbitrary symmetric zero-diagonal entries, so mostly non-metric
+    entries = data.draw(st.lists(st.integers(0, 60), min_size=n * n, max_size=n * n))
+    rows = [[0 if i == j else entries[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    if quarter:
+        rows = [[Fraction(x, 4) for x in row] for row in rows]
+    D = DistanceMatrix.from_rows(rows)
+    m = data.draw(st.integers(0, 2 * n - 3))
+    perm = data.draw(st.permutations(range(n)))
+    mapping = data.draw(st.permutations(range(n)))
+    sched = relabel(rotate(mirror_and_assign(n), m), perm)
+    per_team, total = evaluate_assumption_a(sched, mapping, D)
+    ref_per_team, ref_total = rule_a_walk(sched.opp, sched.home, mapping, D.d)
+    assert list(per_team) == ref_per_team
+    assert total == ref_total
+
+
 def expected_route(mapping, n, t):
     cycle = mapping[: n - 1]
     pivot = mapping[n - 1]
@@ -290,11 +309,19 @@ def test_solve_christofides_mode(nl4):
     assert report.total_distance <= Fraction(11, 4) * 4 * 2011
 
 
+def test_solve_christofides_greedy_matching_voids_guarantees():
+    # above 16 odd-degree vertices the matching is greedy: no 2.75 claim
+    report, _ = solve(random_euclidean_instance(40, 1), mode="christofides", want_certificate=False)
+    assert report.metric
+    assert report.matching_exact is False
+    assert report.guarantees_valid is False
+
+
 def test_solve_tour_file_mode(nl4):
     exact_report, _ = solve(nl4)
     report, _ = solve(nl4, mode="tour_file", tour=(0, 2, 1, 3))
     assert report.total_distance == exact_report.total_distance
-    assert not report.guarantees_valid  # supplied tours are unverified
+    assert not report.guarantees_valid  # tour-file mode makes no ratio claim
 
 
 def test_solve_non_metric_voids_guarantees():

@@ -16,7 +16,7 @@ from uttp import (
     random_euclidean_instance,
     select_pivot,
 )
-from uttp.tsp import cycle_length
+from uttp.tsp import _matching_greedy_swap, cycle_length
 
 from independent import all_cycles_min
 
@@ -132,9 +132,9 @@ def test_matching_rejects_odd(line4):
 def test_matching_greedy_never_beats_dp(seed):
     D = random_euclidean_instance(10, seed)
     exact = min_weight_perfect_matching(D, range(10))
-    greedy = min_weight_perfect_matching(D, range(10), exact_threshold=0)
-    assert exact.exact and not greedy.exact
-    assert greedy.weight >= exact.weight
+    assert exact.exact
+    assert _matching_greedy_swap(D, list(range(10)))[1] >= exact.weight
+    assert min_weight_perfect_matching(random_euclidean_instance(18, seed), range(18)).exact is False
 
 
 # --- christofides ---
@@ -204,6 +204,14 @@ def test_tour_file_rejects_bad_permutations(nl4):
         parse_tour_file("0 1 2", 4)
     with pytest.raises(TspError):
         parse_tour_file("0 1 2 x", 4)
+
+
+def test_tour_file_checked_up_to_cap(nl4):
+    # (0,1,2,3) has length 2134, above nl4's shortest cycle 2011
+    with pytest.raises(TspError, match="longer than the shortest cycle"):
+        build_pivoted_cycle(nl4, mode="tour_file", tour=(0, 1, 2, 3))
+    pc = build_pivoted_cycle(nl4, mode="tour_file", tour=(0, 1, 2, 3), cap=3)
+    assert pc.full_tour.length == 2134
 
 
 @settings(max_examples=20, deadline=None)
