@@ -1,8 +1,10 @@
 """Command-line front end: solve instances, validate schedules, run the
 benchmark table, query the exhaustive 4-team oracle, generate test data.
 
-Exit codes: 0 ok, 2 invalid instance, 3 infeasible schedule, 4 internal
-certificate failure.
+Exit codes: 0 ok; 2 invalid input (instance, tour, option value, or an
+unreadable or unwritable path); 3 infeasible schedule; 4 internal
+certificate failure. ``main`` maps each library exception type to its
+code; ``CliError`` carries a code only where the CLI adds context.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import render_gap
+from .analysis import gap_percent, lower_bound, render_gap
 from .instance import (
     DistanceMatrix,
     InstanceError,
@@ -22,7 +24,6 @@ from .instance import (
     parse_distance_matrix,
     random_euclidean_instance,
     render_distance_matrix,
-    validate_metric,
 )
 from .oracle import OracleError, exact_uttp
 from .schedule import (
@@ -166,15 +167,9 @@ def cmd_solve(args) -> int:
             "ratio guarantees void",
             file=sys.stderr,
         )
-    try:
-        report, sched = solve(
-            D, mode=mode, cap=args.hk_cap, tour=tour,
-            keep_candidates=args.dump_candidates,
-        )
-    except (SolverError, TspError) as exc:
-        raise CliError(EXIT_INVALID_INSTANCE, str(exc)) from exc
-    except InternalCheckError as exc:
-        raise CliError(EXIT_CERTIFICATE_FAILURE, str(exc)) from exc
+    report, sched = solve(
+        D, mode=mode, cap=args.hk_cap, tour=tour, keep_candidates=args.dump_candidates
+    )
     if args.schedule_out:
         Path(args.schedule_out).write_text(render_schedule(sched, "rows"))
     _emit_report(report, sched, args.format, args.dump_candidates)
@@ -234,8 +229,6 @@ def cmd_bench(args) -> int:
         raise CliError(EXIT_INVALID_INSTANCE, f"not a directory: {directory}")
     mode = args.tsp
     entries = _discover_instances(directory)
-    if args.max_n is not None:
-        entries = [e for e in entries if e[1] <= args.max_n]
     if not entries:
         raise CliError(EXIT_INVALID_INSTANCE, f"no instance files in {directory}")
     rows = []
@@ -248,7 +241,7 @@ def cmd_bench(args) -> int:
         best_ub = BEST_KNOWN_UB.get((family, n), "")
         run_mode = mode
         tour = None
-        note = mode.replace("_", "-")
+        note = mode
         if mode == "exact" and n > args.hk_cap:
             tour_path = Path(args.tours) / f"{family}{n}.tour" if args.tours else None
             if tour_path and tour_path.exists():
@@ -291,14 +284,9 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     D = _read_instance(args.instance)
-    try:
-        res = exact_uttp(D)
-    except OracleError as exc:
-        raise CliError(EXIT_INVALID_INSTANCE, str(exc)) from exc
+    res = exact_uttp(D)
     tau = held_karp(D).length
-    bound = D.n * tau
-    from .analysis import gap_percent
-
+    bound = lower_bound(D, tau)
     per_team, total = evaluate_athome(res.schedule, tuple(range(D.n)), D)
     if total != res.optimum:
         raise CliError(EXIT_CERTIFICATE_FAILURE, "oracle schedule does not attain its optimum")
@@ -329,11 +317,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        D = random_euclidean_instance(args.n, args.seed, args.box)
-    except InstanceError as exc:
-        raise CliError(EXIT_INVALID_INSTANCE, str(exc)) from exc
-    assert not validate_metric(D)
+    D = random_euclidean_instance(args.n, args.seed, args.box)
+    assert D.metric
     text = render_distance_matrix(D)
     if args.out:
         Path(args.out).write_text(text)
@@ -366,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark table over a directory of instances")
     p.add_argument("instance_dir")
     p.add_argument("--tsp", choices=("exact", "christofides"), default="exact")
-    p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--hk-cap", type=int, default=HELD_KARP_CAP)
     p.add_argument("--tours", help="directory of <family><n>.tour files for n beyond the cap")
@@ -394,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (InstanceError, TspError, SolverError, OracleError) as exc:
+    except (InstanceError, TspError, SolverError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
     except ScheduleError as exc:

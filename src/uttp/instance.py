@@ -141,11 +141,8 @@ def load_instance(path: str | Path) -> DistanceMatrix:
     return parse_distance_matrix(Path(path).read_text())
 
 
-def render_distance_matrix(D: DistanceMatrix, leading_n: bool = False) -> str:
-    lines = [" ".join(str(x) for x in row) for row in D.d]
-    if leading_n:
-        lines.insert(0, str(D.n))
-    return "\n".join(lines) + "\n"
+def render_distance_matrix(D: DistanceMatrix) -> str:
+    return "".join(" ".join(str(x) for x in row) + "\n" for row in D.d)
 
 
 def _metric_violations(
@@ -180,6 +177,8 @@ def random_euclidean_instance(n: int, seed: int, box: float = 1000.0) -> Distanc
     """
     if n < 3:
         raise InstanceError(f"need n >= 3, got {n}")
+    if not math.isfinite(math.hypot(box, box)):  # no distance exceeds the diagonal
+        raise InstanceError(f"box must be finite with a finite diagonal, got {box}")
     rng = random.Random(seed)
     pts = [(rng.uniform(0.0, box), rng.uniform(0.0, box)) for _ in range(n)]
     d = [[0] * n for _ in range(n)]

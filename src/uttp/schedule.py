@@ -23,17 +23,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class OpponentTable:
-    """Single round robin without venues: opponent of team t in slot s."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]  # [team][slot] -> opponent
-
-    def opponent(self, team: int, slot: int) -> int:
-        return self.entries[team][slot]
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Double round robin: per team and slot, (opponent, home flag)."""
 
@@ -49,8 +38,9 @@ class Schedule:
         return self.opp[team][slot], self.home[team][slot]
 
 
-def circle_schedule(n: int) -> OpponentTable:
-    """Classical circle-method single round robin over slots 0..n-2.
+def circle_schedule(n: int) -> tuple[tuple[int, ...], ...]:
+    """Classical circle-method single round robin over slots 0..n-2, as
+    rows indexed [team][slot] -> opponent; venues are not assigned.
 
     Team t != n-1 meets (s - t) mod (n-1) in slot s, except in the slot
     where that value folds back onto t itself, which is its game against
@@ -67,7 +57,7 @@ def circle_schedule(n: int) -> OpponentTable:
         entries.append(tuple(row))
     last = tuple(s // 2 if s % 2 == 0 else (s + n - 1) // 2 for s in range(n - 1))
     entries.append(last)
-    return OpponentTable(n=n, entries=tuple(entries))
+    return tuple(entries)
 
 
 def mirror_and_assign(n: int) -> Schedule:
@@ -77,9 +67,8 @@ def mirror_and_assign(n: int) -> Schedule:
     n/2..n-2 are away exactly in slots 2t-n+2..2t; team n-1 is away in the
     whole first half. Every rotation of the result stays feasible.
     """
-    table = circle_schedule(n)
     half = n - 1
-    opp = tuple(tuple(row[s % half] for s in range(2 * half)) for row in table.entries)
+    opp = tuple(tuple(row[s % half] for s in range(2 * half)) for row in circle_schedule(n))
     home_rows = []
     for t in range(n):
         if t < n // 2:

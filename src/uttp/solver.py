@@ -28,7 +28,7 @@ import numpy as np
 
 from .instance import DistanceMatrix, Number
 from .schedule import Schedule, mirror_and_assign, relabel, rotate
-from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, held_karp
+from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, cycle_length, held_karp
 
 DIRECTIONS = ("forward", "reversed")
 
@@ -122,12 +122,8 @@ def evaluate_assumption_a(
     through home. A team at home in an end slot has its home venue at that
     end, so the legs through home are that same direct leg (d[h][h] = 0):
     every team travels the closed walk through its slot venues."""
-    d = D.d
-    per_team = []
-    for t in range(sched.n):
-        seq = _venues(sched, mapping, t)
-        per_team.append(sum(d[seq[i - 1]][seq[i]] for i in range(len(seq))))
-    return tuple(per_team), sum(per_team)
+    per_team = tuple(cycle_length(D, _venues(sched, mapping, t)) for t in range(sched.n))
+    return per_team, sum(per_team)
 
 
 def assumption_a_route(

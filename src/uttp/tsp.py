@@ -156,8 +156,6 @@ def min_weight_perfect_matching(
     verts = _check_vertex_set(D, odd_set)
     if len(verts) % 2 != 0:
         raise TspError(f"matching needs an even vertex count, got {len(verts)}")
-    if not verts:
-        return Matching(pairs=(), weight=0, exact=True)
     if len(verts) <= MATCHING_EXACT_MAX:
         pairs, weight = _matching_dp(D, verts)
         return Matching(pairs=pairs, weight=weight, exact=True)

@@ -121,6 +121,6 @@ def test_certify_direct_call(nl4):
     cert = certify(
         nl4, pc, family, 2011, total=8276, ratio_bound=Fraction(9, 4)
     )
-    assert cert.tau == 2011
-    assert cert.tau_prime == pc.cycle_length
+    assert cert.check("ratio").rhs == Fraction(9, 4) * 4 * 2011
+    assert cert.check("hamilton").rhs == 4 * 2011
     assert cert.all_ok

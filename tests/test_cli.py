@@ -333,6 +333,32 @@ def test_solve_non_metric_warns(tmp_path, capsys):
     assert "guarantees_valid: False" in out
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", str(INSTANCES / "nl4.txt"), "--schedule-out", "{tmp}/missing/x.rows"], 2),
+        (["gen", "--n", "6", "--seed", "1", "--out", "{tmp}/missing/x.txt"], 2),
+        (["gen", "--n", "6", "--seed", "1", "--box", "nan"], 2),
+        (["oracle", str(INSTANCES / "nl6.txt")], 2),
+        (["solve", "{tmp}/five.txt"], 2),
+        (["gen", "--n", "2", "--seed", "1"], 2),
+    ],
+    ids=["schedule-out-unwritable", "gen-out-unwritable", "gen-box-nan", "oracle-big", "solve-odd-n", "gen-tiny"],
+)
+def test_failures_exit_with_documented_code(tmp_path, argv, code):
+    (tmp_path / "five.txt").write_text(
+        "0 1 1 1 1\n1 0 1 1 1\n1 1 0 1 1\n1 1 1 0 1\n1 1 1 1 0\n"
+    )
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "uttp", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "uttp", "solve", str(INSTANCES / "nl4.txt"), "--format", "csv"],

@@ -99,12 +99,18 @@ def test_generator_rejects_tiny():
         random_euclidean_instance(2, seed=0)
 
 
+@pytest.mark.parametrize("box", [float("nan"), float("inf"), float("-inf"), 1.7e308])
+def test_generator_rejects_non_finite_box(box):
+    with pytest.raises(InstanceError, match="finite"):
+        random_euclidean_instance(30, seed=1, box=box)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
 def test_render_parse_round_trip(n, seed):
     D = random_euclidean_instance(n, seed)
     assert parse_distance_matrix(render_distance_matrix(D)) == D
-    assert parse_distance_matrix(render_distance_matrix(D, leading_n=True)) == D
+    assert parse_distance_matrix(f"{D.n}\n" + render_distance_matrix(D)) == D
 
 
 @settings(max_examples=25, deadline=None)

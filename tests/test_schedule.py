@@ -36,30 +36,30 @@ EVEN_SIZES = list(range(4, 41, 2))
 
 
 def table_ok(table):
-    n = table.n
+    n = len(table)
     for t in range(n):
         seen = set()
         for s in range(n - 1):
-            o = table.entries[t][s]
+            o = table[t][s]
             assert o != t
-            assert table.entries[o][s] == t
+            assert table[o][s] == t
             seen.add(o)
         assert seen == set(range(n)) - {t}
 
 
 def test_circle_cells_ten_teams():
     K = circle_schedule(10)
-    assert K.opponent(0, 0) == 9
-    assert K.opponent(2, 4) == 9
-    assert K.opponent(9, 3) == 6
+    assert K[0][0] == 9
+    assert K[2][4] == 9
+    assert K[9][3] == 6
 
 
 def test_circle_cells_four_teams():
     K = circle_schedule(4)
-    assert K.opponent(0, 0) == 3
-    assert K.opponent(1, 0) == 2
-    assert K.opponent(1, 1) == 0
-    assert K.opponent(2, 1) == 3
+    assert K[0][0] == 3
+    assert K[1][0] == 2
+    assert K[1][1] == 0
+    assert K[2][1] == 3
 
 
 @pytest.mark.parametrize("n", EVEN_SIZES)
