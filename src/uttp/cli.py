@@ -85,6 +85,18 @@ def _parse_tsp_mode(value: str) -> tuple[str, str | None]:
     )
 
 
+def _hk_cap(value: str) -> int:
+    """``--hk-cap`` at parse time: an int no larger than ``HELD_KARP_CAP``,
+    whose DP table is the largest the solver will allocate."""
+    try:
+        cap = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if cap > HELD_KARP_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {HELD_KARP_CAP}, got {cap}")
+    return cap
+
+
 def _num(x):
     if isinstance(x, Fraction):
         return float(x)
@@ -339,7 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsp", default="exact", help="exact | christofides | tour-file=PATH")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--dump-candidates", action="store_true")
-    p.add_argument("--hk-cap", type=int, default=HELD_KARP_CAP, help="exact-tour DP vertex cap")
+    p.add_argument(
+        "--hk-cap",
+        type=_hk_cap,
+        default=HELD_KARP_CAP,
+        help=f"exact-tour DP vertex cap (at most {HELD_KARP_CAP})",
+    )
     p.add_argument("--schedule-out", help="also write the schedule in rows format here")
     p.set_defaults(func=cmd_solve)
 
@@ -352,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance_dir")
     p.add_argument("--tsp", choices=("exact", "christofides"), default="exact")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--hk-cap", type=int, default=HELD_KARP_CAP)
+    p.add_argument("--hk-cap", type=_hk_cap, default=HELD_KARP_CAP)
     p.add_argument("--tours", help="directory of <family><n>.tour files for n beyond the cap")
     p.set_defaults(func=cmd_bench)
 

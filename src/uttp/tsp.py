@@ -8,6 +8,15 @@ The exact DP runs on ``DistanceMatrix.array``, one code path for every
 input: int64 when a magnitude bound proves no sum can overflow, otherwise
 numpy dtype=object holding the exact ints or Fractions, so huge integers and
 rationals give exact tours with the same tie-breaks.
+
+The DP table has one row per vertex set that holds the start vertex (the
+odd masks of the classic Held-Karp DP), ``(2^(k-1), k)`` cells, filled one
+popcount layer at a time. Each state gathers only the members of its
+previous set as predecessors, in increasing vertex order, and keeps
+``np.argmin``'s first minimum; the non-members a full-width row would also
+offer are never reachable, so the tours equal those of a per-mask DP over
+all k columns. ``held_karp`` refuses more than ``HELD_KARP_CAP`` vertices
+before allocating, whatever ``cap`` it is given.
 """
 
 from __future__ import annotations
@@ -103,44 +112,76 @@ def held_karp(
     vertex_set: Optional[Iterable[int]] = None,
     cap: int = HELD_KARP_CAP,
 ) -> Tour:
-    """Exact shortest Hamilton cycle by subset DP over the induced subgraph."""
+    """Exact shortest Hamilton cycle by subset DP over the induced subgraph.
+
+    ``cap`` may lower the vertex limit but not raise it past
+    ``HELD_KARP_CAP``: the DP table has ``2^(k-1) * k`` cells, and the
+    check runs before anything is allocated.
+    """
     verts = _check_vertex_set(D, vertex_set)
     k = len(verts)
     if k < 3:
         raise TspError(f"need at least 3 vertices, got {k}")
-    if k > cap:
-        raise TspError(f"{k} vertices exceeds the exact-DP cap of {cap}")
+    limit = min(cap, HELD_KARP_CAP)
+    if k > limit:
+        raise TspError(f"{k} vertices exceeds the exact-DP cap of {limit}")
     return Tour.from_vertices(D, _held_karp(D, verts))
 
 
 def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
-    """Subset DP in the dtype of ``D.array``; returns the cycle from verts[0]."""
+    """Subset DP in the dtype of ``D.array``; returns the cycle from verts[0].
+
+    Row ``r`` of the table is the set ``{0} | {j : bit j-1 of r}``, so only
+    the sets that hold the start vertex get a row: ``(2^(k-1), k)`` cells.
+    Rows are filled one popcount layer at a time, and for each last vertex
+    j the predecessors gathered are the previous set's members, in
+    increasing order (vertex 0 alone for the first layer). A per-mask DP
+    over all k columns finds the same first minimum: a non-member column
+    holds at least ``INF``, and every member's candidate is shorter.
+    """
     k = len(verts)
     dist = D.array[np.ix_(verts, verts)]
-    size = 1 << k
+    rows = 1 << (k - 1)
     INF = k * dist.max() + 1  # longer than any Hamilton path on these vertices
-    dp = np.full((size, k), INF, dtype=dist.dtype)
-    parent = np.full((size, k), -1, dtype=np.int8)
-    dp[1, 0] = 0
-    for mask in range(3, size, 2):  # start vertex 0 and at least one other
-        members = [j for j in range(1, k) if (mask >> j) & 1]
-        js = np.array(members)
-        prev_masks = mask ^ (1 << js)
-        cand = dp[prev_masks] + dist[:, js].T  # (m, k): via each last vertex
-        arg = np.argmin(cand, axis=1)  # first minimum: ties break low
-        dp[mask, js] = cand[np.arange(len(js)), arg]
-        parent[mask, js] = arg
-    full = size - 1
+    dp = np.full((rows, k), INF, dtype=dist.dtype)
+    parent = np.zeros((rows, k), dtype=np.int8)
+    dp[0, 0] = 0
+    cells = dp.reshape(-1)  # row r, vertex i at r * k + i
+    r = np.arange(rows)
+    popcount = np.zeros(rows, dtype=np.int8)
+    for b in range(k - 1):
+        popcount += (r >> b) & 1
+    for p in range(1, k):
+        layer = np.flatnonzero(popcount == p)
+        members = np.empty((len(layer), p), dtype=np.int8)  # increasing
+        filled = np.zeros(len(layer), dtype=np.intp)
+        for b in range(k - 1):
+            hit = np.flatnonzero((layer >> b) & 1)
+            members[hit, filled[hit]] = b + 1
+            filled[hit] += 1
+        for j in range(1, k):
+            has_j = np.flatnonzero((layer >> (j - 1)) & 1)
+            sel = layer[has_j]
+            if p == 1:
+                dp[sel, j] = dist[0, j]  # parent stays 0
+                continue
+            prev = sel ^ (1 << (j - 1))
+            m = members[has_j]
+            m = m[m != j].reshape(len(sel), p - 1)  # prev's members, increasing
+            cand = cells[prev[:, None] * k + m] + dist[m, j]
+            arg = np.argmin(cand, axis=1)  # first minimum: ties break low
+            at = np.arange(len(sel))
+            dp[sel, j] = cand[at, arg]
+            parent[sel, j] = m[at, arg]
+    full = rows - 1
     closing = dp[full] + dist[:, 0]  # closing[0] stays INF: dp[full, 0] is never set
     j = int(np.argmin(closing))
-    order = []
-    mask = full
-    while j != -1:
+    order = [0]
+    row = full
+    while j:
         order.append(j)
-        j2 = int(parent[mask, j])
-        mask ^= 1 << j
-        j = j2
-    order.reverse()  # starts at vertex 0
+        row, j = row ^ (1 << (j - 1)), int(parent[row, j])
+    order[1:] = reversed(order[1:])
     return [verts[i] for i in order]
 
 

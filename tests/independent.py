@@ -1,10 +1,14 @@
 """Reference implementations used only to cross-check the package.
 
 Everything here is written straight from the problem definitions with no
-shared code or structure with src/, so agreement is meaningful.
+shared code or structure with src/, so agreement is meaningful. The one
+exception is ``per_mask_held_karp``, the package's earlier Held-Karp kept
+as it was, so that the current DP's tie-breaks can be checked against it.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def route_walk(opp_rows, home_rows, mapping, dist):
@@ -79,3 +83,37 @@ def all_cycles_min(dist, verts):
 
 def mean(values):
     return Fraction(sum(values), len(values))
+
+
+def per_mask_held_karp(D, verts):
+    """Held-Karp one mask at a time over all k predecessor columns, in the
+    dtype of ``D.array``; returns the cycle from verts[0]. The package's
+    earlier DP, kept unchanged as the tie-break oracle for the layer-wise
+    one: both take the first minimum, so their tours must be identical."""
+    k = len(verts)
+    dist = D.array[np.ix_(verts, verts)]
+    size = 1 << k
+    INF = k * dist.max() + 1  # longer than any Hamilton path on these vertices
+    dp = np.full((size, k), INF, dtype=dist.dtype)
+    parent = np.full((size, k), -1, dtype=np.int8)
+    dp[1, 0] = 0
+    for mask in range(3, size, 2):  # start vertex 0 and at least one other
+        members = [j for j in range(1, k) if (mask >> j) & 1]
+        js = np.array(members)
+        prev_masks = mask ^ (1 << js)
+        cand = dp[prev_masks] + dist[:, js].T  # (m, k): via each last vertex
+        arg = np.argmin(cand, axis=1)  # first minimum: ties break low
+        dp[mask, js] = cand[np.arange(len(js)), arg]
+        parent[mask, js] = arg
+    full = size - 1
+    closing = dp[full] + dist[:, 0]  # closing[0] stays INF: dp[full, 0] is never set
+    j = int(np.argmin(closing))
+    order = []
+    mask = full
+    while j != -1:
+        order.append(j)
+        j2 = int(parent[mask, j])
+        mask ^= 1 << j
+        j = j2
+    order.reverse()  # starts at vertex 0
+    return [verts[i] for i in order]

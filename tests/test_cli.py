@@ -1,11 +1,19 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from uttp import mirror_and_assign, parse_distance_matrix, render_schedule, rotate
+from uttp import (
+    mirror_and_assign,
+    parse_distance_matrix,
+    random_euclidean_instance,
+    render_distance_matrix,
+    render_schedule,
+    rotate,
+)
 from uttp.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -357,6 +365,28 @@ def test_failures_exit_with_documented_code(tmp_path, argv, code):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_hk_cap_above_limit_rejected_at_parse_time(tmp_path, command):
+    # the n=30 table would need 240 GiB; the address-space limit turns a
+    # regression into a MemoryError here instead of exhausting the host
+    (tmp_path / "big30.txt").write_text(render_distance_matrix(random_euclidean_instance(30, 1)))
+    target = tmp_path / "big30.txt" if command == "solve" else tmp_path
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "uttp", command, str(target), "--hk-cap", "30"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--hk-cap: must be at most 20, got 30" in errors[0]
 
 
 def test_module_entry_point():

@@ -16,9 +16,10 @@ from uttp import (
     random_euclidean_instance,
     select_pivot,
 )
-from uttp.tsp import _matching_greedy_swap, cycle_length
+import uttp.tsp
+from uttp.tsp import HELD_KARP_CAP, Tour, _matching_greedy_swap, cycle_length
 
-from independent import all_cycles_min
+from independent import all_cycles_min, per_mask_held_karp
 
 
 def uniform_matrix(n, c):
@@ -87,6 +88,40 @@ def test_held_karp_equals_brute_force(n, seed, box, rational):
             tour, twin = tour_of(D), tour_of(Q)
             assert twin.vertices == tour.vertices
             assert twin.length == Fraction(tour.length, 4)
+
+
+def test_held_karp_cap_cannot_be_raised(monkeypatch):
+    # a 21-vertex table is past the memory budget whatever cap is passed;
+    # the check must come before any allocation
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("held_karp allocated a table past its cap")
+
+    monkeypatch.setattr(uttp.tsp.np, "full", no_alloc)
+    with pytest.raises(TspError, match=f"cap of {HELD_KARP_CAP}"):
+        held_karp(random_euclidean_instance(21, 0), cap=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(3, 12),
+    extra=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    box=st.sampled_from([20.0, 50.0, 1000.0]),  # ties are common at 20
+    numbers=st.sampled_from(["int64", "quarter", "scaled"]),
+    data=st.data(),
+)
+def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
+    D = random_euclidean_instance(k + extra, seed, box=box)
+    if numbers == "quarter":  # rational twin: an object array of Fractions
+        D = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
+    elif numbers == "scaled":  # past the int64 bound: an object array of ints
+        D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
+    assert (D.array.dtype == object) == (numbers != "int64")
+    verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
+    tour = held_karp(D, vertex_set=verts)
+    oracle = Tour.from_vertices(D, per_mask_held_karp(D, verts))
+    assert tour.vertices == oracle.vertices
+    assert tour.length == oracle.length
 
 
 def test_held_karp_fraction_matrix():
