@@ -5,15 +5,19 @@ n*n tokens (row-major square matrix) or a leading token n followed by n*n
 tokens. Integral files parse to ints; a file with any other token parses to
 exact ``Fraction``s throughout, so downstream arithmetic never accumulates
 float error and never mixes ints with Fractions.
+
+Loading checks entries with numpy, a few rows at a time (no (n, n, n)
+tensor), and walks in Python only the entries it flags, so error texts and
+``validate_metric``'s triples are those of a full entry-by-entry walk.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -47,17 +51,31 @@ class DistanceMatrix:
     n: int
     d: tuple[tuple[Number, ...], ...]
     metric: bool
+    # The distances as an (n, n) numpy array, built once per matrix. int64
+    # when every entry is an int and 2n^2 * max entry < 2^62, so any sum of
+    # up to 2n^2 entries (a whole schedule's travel, splice terms included)
+    # fits; otherwise dtype=object holding the exact ints and Fractions, on
+    # which the same numpy code stays exact. Read-only: every caller shares it.
+    array: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Number]]) -> "DistanceMatrix":
         d = tuple(tuple(row) for row in rows)
-        if not all(isinstance(x, int) for row in d for x in row):
+        integral = all(issubclass(t, int) for t in set(map(type, chain.from_iterable(d))))
+        if not integral:
             # one number type per matrix: a sum of entries has one type too
             d = tuple(tuple(Fraction(x) for x in row) for row in d)
         n = len(d)
         if n < 1 or any(len(row) != n for row in d):
             raise InstanceError("distance matrix must be square")
-        for i in range(n):
+        # magnitudes: a negative entry must not overflow before it is rejected
+        big = max(max(map(max, d)), -min(map(min, d)))
+        fits_int64 = integral and 2 * n * n * big < 1 << 62
+        a = np.array(d, dtype=np.int64 if fits_int64 else object)
+        a.flags.writeable = False
+        faulty = (a.diagonal() != 0) | (a < 0).any(axis=1) | (a != a.T).any(axis=1)
+        if faulty.any():
+            i = int(np.argmax(faulty))  # the first row the walk below fails on
             if d[i][i] != 0:
                 raise InstanceError(f"nonzero diagonal entry at ({i},{i}): {d[i][i]}")
             for j in range(n):
@@ -67,27 +85,8 @@ class DistanceMatrix:
                     raise InstanceError(
                         f"asymmetric entries ({i},{j})={d[i][j]} vs ({j},{i})={d[j][i]}"
                     )
-        metric = not _metric_violations(d, n, cap=1)
-        return cls(n=n, d=d, metric=metric)
-
-    @cached_property
-    def integral(self) -> bool:
-        return all(isinstance(x, int) for row in self.d for x in row)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The distances as an (n, n) numpy array, built once per matrix.
-
-        int64 when every entry is an int and 2n^2 * max entry < 2^62, so any
-        sum of up to 2n^2 entries (a whole schedule's travel, splice terms
-        included) fits; otherwise dtype=object holding the exact ints and
-        Fractions, on which the same numpy code stays exact.
-        """
-        n = self.n
-        fits_int64 = self.integral and 2 * n * n * max(map(max, self.d)) < 1 << 62
-        arr = np.array(self.d, dtype=np.int64 if fits_int64 else object)
-        arr.flags.writeable = False  # shared by every caller, like d itself
-        return arr
+        metric = not _metric_violations(d, a, cap=1)
+        return cls(n=n, d=d, metric=metric, array=a)
 
     def row_sum(self, i: int) -> Number:
         return sum(self.d[i][j] for j in range(self.n) if j != i)
@@ -118,21 +117,18 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
     if not tokens:
         raise InstanceError("empty instance")
     k = len(tokens)
-    side = math.isqrt(k)
-    if side * side == k:
-        values = [_parse_token(t) for t in tokens]
-        n = side
-    else:
-        side = math.isqrt(k - 1)
-        if side * side != k - 1:
+    n = math.isqrt(k)
+    if n * n != k:
+        n = math.isqrt(k - 1)
+        if n * n != k - 1:
             raise InstanceError(f"token count {k} is neither n*n nor 1+n*n")
-        lead = _parse_token(tokens[0])
-        if lead != side:
-            raise InstanceError(
-                f"leading token {tokens[0]} does not match matrix size {side}"
-            )
-        values = [_parse_token(t) for t in tokens[1:]]
-        n = side
+        if _parse_token(tokens[0]) != n:
+            raise InstanceError(f"leading token {tokens[0]} does not match matrix size {n}")
+        tokens = tokens[1:]
+    try:
+        values = list(map(int, tokens))  # the common all-integer file
+    except ValueError:
+        values = [_parse_token(t) for t in tokens]
     rows = [values[i * n : (i + 1) * n] for i in range(n)]
     return DistanceMatrix.from_rows(rows)
 
@@ -146,11 +142,21 @@ def render_distance_matrix(D: DistanceMatrix) -> str:
 
 
 def _metric_violations(
-    d: tuple[tuple[Number, ...], ...], n: int, cap: int
+    d: tuple[tuple[Number, ...], ...], a: np.ndarray, cap: int
 ) -> list[MetricViolation]:
+    """The first ``cap`` triples with d[i][j] + d[j][k] < d[i][k], i < k, in
+    (i, k, j) order. Needs a zero diagonal: then j = i and j = k give d[i][k]
+    itself, so a min-plus test over all j finds the (i, k) with a violation,
+    and only those are walked over j, on ``d``'s exact entries."""
     out: list[MetricViolation] = []
-    for i in range(n):
-        for k in range(i + 1, n):
+    n = len(d)
+    step = max(1, (1 << 16) // (n * n))  # rows per test: at most 2^16 sums
+    for i0 in range(0, n - 1, step):
+        rows = a[i0 : i0 + step]
+        # short[r, c]: some j beats d[i][k] for i = i0 + r, k = i0 + 1 + c
+        short = (rows[:, :, None] + a[:, i0 + 1 :]).min(axis=1) < rows[:, i0 + 1 :]
+        for r, c in zip(*(x.tolist() for x in np.triu(short).nonzero())):
+            i, k = i0 + r, i0 + 1 + c
             direct = d[i][k]
             for j in range(n):
                 if j == i or j == k:
@@ -165,7 +171,7 @@ def _metric_violations(
 
 def validate_metric(D: DistanceMatrix, max_violations: int = 20) -> list[MetricViolation]:
     """List triples violating d[i][j] + d[j][k] >= d[i][k], capped."""
-    return _metric_violations(D.d, D.n, cap=max_violations)
+    return _metric_violations(D.d, D.array, cap=max_violations)
 
 
 def random_euclidean_instance(n: int, seed: int, box: float = 1000.0) -> DistanceMatrix:

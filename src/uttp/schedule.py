@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 class ScheduleError(ValueError):
     """Structurally invalid schedule data or parameters."""
@@ -48,16 +50,11 @@ def circle_schedule(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if n < 4 or n % 2 != 0:
         raise ScheduleError(f"need an even team count >= 4, got {n}")
-    entries = []
-    for t in range(n - 1):
-        row = []
-        for s in range(n - 1):
-            r = (s - t) % (n - 1)
-            row.append(n - 1 if r == t else r)
-        entries.append(tuple(row))
-    last = tuple(s // 2 if s % 2 == 0 else (s + n - 1) // 2 for s in range(n - 1))
-    entries.append(last)
-    return tuple(entries)
+    s, t = np.arange(n - 1), np.arange(n - 1)[:, None]  # slot, team
+    r = (s - t) % (n - 1)
+    rows = np.where(r == t, n - 1, r)
+    last = np.where(s % 2 == 0, s // 2, (s + n - 1) // 2)
+    return tuple(map(tuple, np.vstack([rows, last]).tolist()))
 
 
 def mirror_and_assign(n: int) -> Schedule:
@@ -65,20 +62,15 @@ def mirror_and_assign(n: int) -> Schedule:
 
     Home slots: team t < n/2 is home exactly in slots 2t..n+2t-2; teams
     n/2..n-2 are away exactly in slots 2t-n+2..2t; team n-1 is away in the
-    whole first half. Every rotation of the result stays feasible.
+    whole first half. Every rotation of the result stays feasible. The
+    flags come from these closed forms as one boolean array, and are
+    returned as Python bools.
     """
-    half = n - 1
-    opp = tuple(tuple(row[s % half] for s in range(2 * half)) for row in circle_schedule(n))
-    home_rows = []
-    for t in range(n):
-        if t < n // 2:
-            row = [2 * t <= s <= n + 2 * t - 2 for s in range(2 * half)]
-        elif t <= n - 2:
-            row = [not (2 * t - n + 2 <= s <= 2 * t) for s in range(2 * half)]
-        else:
-            row = [s > n - 2 for s in range(2 * half)]
-        home_rows.append(tuple(row))
-    return Schedule(n=n, opp=opp, home=tuple(home_rows))
+    s, t = np.arange(2 * n - 2), np.arange(n)[:, None]
+    home = np.where(t < n // 2, (2 * t <= s) & (s <= n + 2 * t - 2), (s < 2 * t - n + 2) | (s > 2 * t))
+    home[n - 1] = s > n - 2
+    opp = tuple(row + row for row in circle_schedule(n))
+    return Schedule(n=n, opp=opp, home=tuple(map(tuple, home.tolist())))
 
 
 def rotate(sched: Schedule, m: int) -> Schedule:
@@ -88,8 +80,8 @@ def rotate(sched: Schedule, m: int) -> Schedule:
         raise ScheduleError(f"rotation {m} out of range 0..{L - 1}")
     if m == 0:
         return sched
-    opp = tuple(tuple(row[(s + m) % L] for s in range(L)) for row in sched.opp)
-    home = tuple(tuple(row[(s + m) % L] for s in range(L)) for row in sched.home)
+    opp = tuple(row[m:] + row[:m] for row in sched.opp)
+    home = tuple(row[m:] + row[:m] for row in sched.home)
     return Schedule(n=sched.n, opp=opp, home=home)
 
 

@@ -14,8 +14,9 @@ the same cycle cut open between slots m-1 and m, with home spliced in:
 
     travel_m = cyc - d[u[m-1]][u[m]] + d[u[m-1]][h] + d[h][u[m]]
 
-One (n, 2n-2) gather per labeling thus scores all 2n-2 rotations: the scan
-is O(n^3), not the O(n^4) of walking every candidate.
+Since d is symmetric, d[h][u[m]] is rotation m+1's leg d[u[m]][h], so two
+gathers of about n(2n-2) legs per labeling score all 2n-2 rotations: the
+scan is O(n^3), not the O(n^4) of walking every candidate.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def assumption_a_route(
 @dataclass(frozen=True)
 class ScheduleFamily:
     """The mirrored base schedule and, per team and slot rotation, the flat
-    indices of the legs the splice identity (module docstring) reads.
+    indices of the two legs the splice identity (module docstring) reads.
 
     Slot rotations are never built: one cyclic walk per team through the
     base schedule prices all 2n-2 of them, so a labeling costs O(n^2) and
@@ -162,10 +163,11 @@ class ScheduleFamily:
     n: int
     base: Schedule
     # Per team t and rotation m, flat indices into a row-major team-by-team
-    # (n, n) matrix of the legs u[m-1] -> u[m], u[m-1] -> h and h -> u[m].
+    # (n, n) matrix of the legs u[m-1] -> u[m] (cut) and u[m-1] -> h (back,
+    # whose extra last column repeats rotation 0). By symmetry the third leg
+    # h -> u[m] is back's column m+1.
     cut: np.ndarray
     back: np.ndarray
-    out: np.ndarray
 
 
 def schedule_family(n: int) -> ScheduleFamily:
@@ -173,8 +175,9 @@ def schedule_family(n: int) -> ScheduleFamily:
     home, opp = np.array(base.home), np.array(base.opp, dtype=np.intp)
     teams = np.arange(n)[:, None]
     host = np.where(home, teams, opp)  # whose venue team t is at in base slot s
-    prev = np.roll(host, 1, axis=1)
-    return ScheduleFamily(n, base, prev * n + host, prev * n + teams, teams * n + host)
+    L = 2 * n - 2
+    prev = host[:, (np.arange(L + 1) - 1) % L]  # slot m-1's host, m = 0..L
+    return ScheduleFamily(n, base, prev[:, :L] * n + host, prev * n + teams)
 
 
 def _cyclic_walks(
@@ -186,7 +189,8 @@ def _cyclic_walks(
     venue = np.asarray(mapping, dtype=np.intp)
     dv = D.array[venue][:, venue].ravel()  # distances between teams' venues
     cut = dv[family.cut]
-    return cut.sum(axis=1), dv[family.back] + dv[family.out] - cut
+    back = dv[family.back]
+    return cut.sum(axis=1), back[:, :-1] + back[:, 1:] - cut
 
 
 def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
@@ -219,7 +223,7 @@ def solve(
     pivoted = build_pivoted_cycle(D, mode=mode, cap=cap, tour=tour)
     if pivoted.full_tour is not None:
         tau: Optional[Number] = pivoted.full_tour.length
-    elif n <= cap:
+    elif n <= min(cap, HELD_KARP_CAP):
         tau = held_karp(D, cap=cap).length
     else:
         tau = None

@@ -22,7 +22,7 @@ before allocating, whatever ``cap`` it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -91,13 +91,7 @@ class PivotedCycle:
 
 def select_pivot(D: DistanceMatrix) -> int:
     """Vertex with minimum total distance to the others; ties break low."""
-    best = 0
-    best_sum = D.row_sum(0)
-    for v in range(1, D.n):
-        s = D.row_sum(v)
-        if s < best_sum:
-            best, best_sum = v, s
-    return best
+    return int(np.argmin(D.array.sum(axis=1)))  # first minimum; d[v][v] = 0
 
 
 def _check_vertex_set(D: DistanceMatrix, vertex_set: Optional[Iterable[int]]) -> list[int]:
@@ -128,6 +122,25 @@ def held_karp(
     return Tour.from_vertices(D, _held_karp(D, verts))
 
 
+def _popcount_layers(bits: int, sizes: Iterable[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per set size p in ``sizes``: the p-element subsets of range(bits) as
+    increasing bitmasks, and their members in increasing order as an int8
+    (count, p) matrix. Both subset DPs fill their tables in this order."""
+    r = np.arange(1 << bits)
+    popcount = np.zeros(1 << bits, dtype=np.int8)
+    for b in range(bits):
+        popcount += (r >> b) & 1
+    for p in sizes:
+        sets = np.flatnonzero(popcount == p)
+        members = np.empty((len(sets), p), dtype=np.int8)
+        filled = np.zeros(len(sets), dtype=np.intp)
+        for b in range(bits):
+            hit = np.flatnonzero((sets >> b) & 1)
+            members[hit, filled[hit]] = b
+            filled[hit] += 1
+        yield sets, members
+
+
 def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     """Subset DP in the dtype of ``D.array``; returns the cycle from verts[0].
 
@@ -147,18 +160,9 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     parent = np.zeros((rows, k), dtype=np.int8)
     dp[0, 0] = 0
     cells = dp.reshape(-1)  # row r, vertex i at r * k + i
-    r = np.arange(rows)
-    popcount = np.zeros(rows, dtype=np.int8)
-    for b in range(k - 1):
-        popcount += (r >> b) & 1
-    for p in range(1, k):
-        layer = np.flatnonzero(popcount == p)
-        members = np.empty((len(layer), p), dtype=np.int8)  # increasing
-        filled = np.zeros(len(layer), dtype=np.intp)
-        for b in range(k - 1):
-            hit = np.flatnonzero((layer >> b) & 1)
-            members[hit, filled[hit]] = b + 1
-            filled[hit] += 1
+    for layer, members in _popcount_layers(k - 1, range(1, k)):
+        p = members.shape[1]
+        members += 1  # bit b of a row is vertex b + 1
         for j in range(1, k):
             has_j = np.flatnonzero((layer >> (j - 1)) & 1)
             sel = layer[has_j]
@@ -205,37 +209,29 @@ def min_weight_perfect_matching(
 
 
 def _matching_dp(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, int], ...], Number]:
+    """Subset DP in the dtype of ``D.array``, one popcount layer at a time:
+    each even set's lowest member i pairs with another member j, taking the
+    first minimum over the members j in increasing order."""
     k = len(verts)
-    d = D.d
-    full = (1 << k) - 1
-    best: list[Optional[Number]] = [None] * (full + 1)
-    choice: list[Optional[tuple[int, int]]] = [None] * (full + 1)
-    best[0] = 0
-    for mask in range(1, full + 1):
-        if bin(mask).count("1") % 2:
-            continue
-        i = (mask & -mask).bit_length() - 1  # lowest set bit pairs first
-        rest = mask ^ (1 << i)
-        b = None
-        ch = None
-        j = rest
-        while j:
-            jbit = j & -j
-            jj = jbit.bit_length() - 1
-            val = best[rest ^ jbit] + d[verts[i]][verts[jj]]  # every even sub-mask is set
-            if b is None or val < b:
-                b, ch = val, (i, jj)
-            j ^= jbit
-        best[mask] = b
-        choice[mask] = ch
+    w = D.array[np.ix_(verts, verts)]
+    bits = 1 << np.arange(k)
+    best = np.zeros(1 << k, dtype=w.dtype)
+    mate = np.zeros(1 << k, dtype=np.intp)
+    for sets, members in _popcount_layers(k, range(2, k + 1, 2)):
+        i, js = members[:, :1], members[:, 1:]
+        cand = best[sets[:, None] ^ bits[i] ^ bits[js]] + w[i, js]
+        arg = np.argmin(cand, axis=1)  # first minimum: ties break low
+        at = np.arange(len(sets))
+        best[sets] = cand[at, arg]
+        mate[sets] = js[at, arg]
     pairs = []
-    mask = full
+    mask = (1 << k) - 1
     while mask:
-        i, j = choice[mask]  # type: ignore[misc]
+        i, j = (mask & -mask).bit_length() - 1, int(mate[mask])
         pairs.append((verts[i], verts[j]))
         mask ^= (1 << i) | (1 << j)
     pairs.sort()
-    return tuple(pairs), best[full]  # type: ignore[return-value]
+    return tuple(pairs), sum(D.d[a][b] for a, b in pairs)
 
 
 def _matching_greedy_swap(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, int], ...], Number]:
@@ -377,8 +373,8 @@ def build_pivoted_cycle(
     join directly; the triangle inequality means no length increase).
     christofides: 1.5-ratio cycle built directly on the non-pivot vertices.
     tour_file: a supplied all-vertex tour, which must be a shortest cycle;
-    it is checked against Held-Karp when n <= cap and trusted past the cap,
-    then the pivot is skipped as in exact mode.
+    it is checked against Held-Karp when n <= min(cap, HELD_KARP_CAP) and
+    trusted beyond, then the pivot is skipped as in exact mode.
     """
     if D.n % 2 != 0 or D.n < 4:
         raise TspError(f"need an even vertex count >= 4, got {D.n}")
@@ -396,7 +392,7 @@ def build_pivoted_cycle(
         if sorted(tour) != list(range(D.n)):
             raise TspError(f"supplied tour must be a permutation of 0..{D.n - 1}")
         full = Tour.from_vertices(D, tour)
-        if D.n <= cap and full.length > (tau := held_karp(D, cap=cap).length):
+        if D.n <= min(cap, HELD_KARP_CAP) and full.length > (tau := held_karp(D, cap=cap).length):
             raise TspError(
                 f"supplied tour has length {full.length}, longer than the shortest cycle ({tau})"
             )

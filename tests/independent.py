@@ -1,9 +1,13 @@
 """Reference implementations used only to cross-check the package.
 
 Everything here is written straight from the problem definitions with no
-shared code or structure with src/, so agreement is meaningful. The one
-exception is ``per_mask_held_karp``, the package's earlier Held-Karp kept
-as it was, so that the current DP's tie-breaks can be checked against it.
+shared code or structure with src/, so agreement is meaningful. The
+exceptions are the package's earlier versions of code it has since rewritten,
+kept as they were so the rewrites can be held to identical output:
+``per_mask_held_karp`` (tie-breaks of the layer-wise DP),
+``per_mask_matching_dp`` (tie-breaks of the layer-wise matching DP),
+``triple_loop_violations`` and ``first_entry_fault`` (the vectorized load
+checks), and ``tuple_mirror_and_assign`` (the array-built base schedule).
 """
 
 from fractions import Fraction
@@ -117,3 +121,100 @@ def per_mask_held_karp(D, verts):
         j = j2
     order.reverse()  # starts at vertex 0
     return [verts[i] for i in order]
+
+
+def triple_loop_violations(d, cap):
+    """The package's earlier triangle check: every (i, k, j) with i < k and
+    d[i][j] + d[j][k] < d[i][k], in loop order, as (i, j, k, deficit)
+    tuples, stopping once ``cap`` are listed."""
+    n = len(d)
+    out = []
+    for i in range(n):
+        for k in range(i + 1, n):
+            direct = d[i][k]
+            for j in range(n):
+                if j == i or j == k:
+                    continue
+                via = d[i][j] + d[j][k]
+                if via < direct:
+                    out.append((i, j, k, direct - via))
+                    if len(out) >= cap:
+                        return out
+    return out
+
+
+def first_entry_fault(d):
+    """The package's earlier entry check, walked row by row: the message of
+    the first nonzero diagonal, negative or asymmetric entry, or None."""
+    n = len(d)
+    for i in range(n):
+        if d[i][i] != 0:
+            return f"nonzero diagonal entry at ({i},{i}): {d[i][i]}"
+        for j in range(n):
+            if d[i][j] < 0:
+                return f"negative distance at ({i},{j}): {d[i][j]}"
+            if d[i][j] != d[j][i]:
+                return f"asymmetric entries ({i},{j})={d[i][j]} vs ({j},{i})={d[j][i]}"
+    return None
+
+
+def tuple_mirror_and_assign(n):
+    """The package's earlier circle-method and mirrored schedule, cell by
+    cell: (opp rows, home rows) as tuples of tuples."""
+    half = n - 1
+    circle_rows = []
+    for t in range(half):
+        row = []
+        for s in range(half):
+            r = (s - t) % half
+            row.append(n - 1 if r == t else r)
+        circle_rows.append(tuple(row))
+    circle_rows.append(tuple(s // 2 if s % 2 == 0 else (s + n - 1) // 2 for s in range(half)))
+    opp = tuple(tuple(row[s % half] for s in range(2 * half)) for row in circle_rows)
+    home_rows = []
+    for t in range(n):
+        if t < n // 2:
+            row = [2 * t <= s <= n + 2 * t - 2 for s in range(2 * half)]
+        elif t <= n - 2:
+            row = [not (2 * t - n + 2 <= s <= 2 * t) for s in range(2 * half)]
+        else:
+            row = [s > n - 2 for s in range(2 * half)]
+        home_rows.append(tuple(row))
+    return opp, tuple(home_rows)
+
+
+def per_mask_matching_dp(D, verts):
+    """The package's earlier matching DP, one mask at a time in Python over
+    ``D.d``; returns (sorted pairs, weight). Kept unchanged as the tie-break
+    oracle for the layer-wise one."""
+    k = len(verts)
+    d = D.d
+    full = (1 << k) - 1
+    best = [None] * (full + 1)
+    choice = [None] * (full + 1)
+    best[0] = 0
+    for mask in range(1, full + 1):
+        if bin(mask).count("1") % 2:
+            continue
+        i = (mask & -mask).bit_length() - 1  # lowest set bit pairs first
+        rest = mask ^ (1 << i)
+        b = None
+        ch = None
+        j = rest
+        while j:
+            jbit = j & -j
+            jj = jbit.bit_length() - 1
+            val = best[rest ^ jbit] + d[verts[i]][verts[jj]]  # every even sub-mask is set
+            if b is None or val < b:
+                b, ch = val, (i, jj)
+            j ^= jbit
+        best[mask] = b
+        choice[mask] = ch
+    pairs = []
+    mask = full
+    while mask:
+        i, j = choice[mask]
+        pairs.append((verts[i], verts[j]))
+        mask ^= (1 << i) | (1 << j)
+    pairs.sort()
+    return tuple(pairs), best[full]

@@ -1,5 +1,7 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from uttp import (
     render_distance_matrix,
     validate_metric,
 )
+
+from independent import first_entry_fault, triple_loop_violations
 
 
 def test_parse_smallest_symmetric():
@@ -43,14 +47,15 @@ def test_parse_leading_n_form(nl4):
 def test_parse_fractional_tokens():
     D = parse_distance_matrix("0 1.5\n1.5 0")
     assert D.d[0][1] == Fraction(3, 2)
-    assert not D.integral
+    assert all(type(x) is Fraction for row in D.d for x in row)
+    assert D.array.dtype == object
 
 
 def test_parse_mixed_tokens_all_fractions():
     D = parse_distance_matrix("0 1.5 2\n1.5 0 1\n2 1 0")
     assert all(type(x) is Fraction for row in D.d for x in row)
     assert D.d[0][2] == 2
-    assert not D.integral
+    assert D.array.dtype == object
 
 
 @pytest.mark.parametrize(
@@ -91,7 +96,8 @@ def test_generator_other_seed_still_valid():
     D = random_euclidean_instance(4, seed=2)
     assert D.n == 4
     assert D.metric
-    assert D.integral
+    assert all(type(x) is int for row in D.d for x in row)
+    assert D.array.dtype == np.int64
 
 
 def test_generator_rejects_tiny():
@@ -129,3 +135,93 @@ def test_fraction_round_trip():
     rows = [[0, Fraction(1, 3), 1], [Fraction(1, 3), 0, Fraction(5, 4)], [1, Fraction(5, 4), 0]]
     D = DistanceMatrix.from_rows(rows)
     assert parse_distance_matrix(render_distance_matrix(D)) == D
+
+
+# The three numeric paths of DistanceMatrix.array: int64, Fractions, and ints
+# past the int64 bound (object dtype).
+KINDS = ("int64", "quarter", "scaled")
+
+
+def _in_kind(rows, kind):
+    if kind == "quarter":
+        return [[Fraction(x, 4) for x in row] for row in rows]
+    if kind == "scaled":
+        return [[x << 58 for x in row] for row in rows]
+    return rows
+
+
+@st.composite
+def symmetric_zero_diagonal(draw):
+    """Small random distances: most such matrices break the triangle
+    inequality many times over."""
+    n = draw(st.integers(3, 9))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 30))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=symmetric_zero_diagonal(), kind=st.sampled_from(KINDS))
+def test_validate_metric_matches_triple_loop(rows, kind):
+    D = DistanceMatrix.from_rows(_in_kind(rows, kind))
+    if any(map(any, rows)):
+        assert D.array.dtype == (np.int64 if kind == "int64" else object)
+    assert D.metric == (not triple_loop_violations(D.d, cap=len(rows) ** 3))
+    for m in range(1, 26):
+        got = [(v.i, v.j, v.k, v.deficit) for v in validate_metric(D, max_violations=m)]
+        want = triple_loop_violations(D.d, m)
+        assert got == want
+        assert [type(v[3]) for v in got] == [type(v[3]) for v in want]
+
+
+FAULTY = {
+    "diagonal": [[0, 1, 2], [1, 3, 1], [2, 1, 0]],
+    "negative": [[0, 1, -2], [1, 0, 1], [-2, 1, 0]],
+    "asymmetric": [[0, 1, 2], [1, 0, 1], [2, 4, 0]],
+    "asymmetric_before_diagonal": [[0, 1, 2], [5, 0, 1], [2, 1, 9]],
+    "several": [[0, 1, 2, 3], [1, 0, -1, 1], [2, 4, 7, 1], [3, 1, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("rows", FAULTY.values(), ids=FAULTY.keys())
+def test_entry_fault_message_matches_row_walk(rows, kind):
+    rows = _in_kind(rows, kind)
+    with pytest.raises(InstanceError) as exc:
+        DistanceMatrix.from_rows(rows)
+    assert str(exc.value) == first_entry_fault(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(2, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-1, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    kind=st.sampled_from(KINDS),
+)
+def test_entry_check_matches_row_walk(rows, kind):
+    rows = _in_kind(rows, kind)
+    want = first_entry_fault(rows)
+    if want is None:
+        assert DistanceMatrix.from_rows(rows).n == len(rows)
+    else:
+        with pytest.raises(InstanceError) as exc:
+            DistanceMatrix.from_rows(rows)
+        assert str(exc.value) == want
+
+
+def test_parse_n300_memory_stays_row_at_a_time():
+    # one (n, n, n) int64 tensor would be 216 MB at n=300
+    text = render_distance_matrix(random_euclidean_instance(300, 1))
+    tracemalloc.start()
+    try:
+        D = parse_distance_matrix(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert D.metric
+    assert peak < 32 * 2**20

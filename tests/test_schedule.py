@@ -17,6 +17,8 @@ from uttp import (
     streak_stats,
 )
 
+from independent import tuple_mirror_and_assign
+
 # known-good 10-team double round robin produced by this construction,
 # frozen cell for cell (18 slots x 10 teams)
 GOLDEN_10 = [
@@ -125,6 +127,28 @@ def test_rotate_inverse(m):
     sched = mirror_and_assign(4)
     L = sched.num_slots
     assert rotate(rotate(sched, m), (L - m) % L) == sched
+
+
+def test_mirror_and_assign_matches_cell_construction():
+    for n in range(4, 129, 2):
+        sched = mirror_and_assign(n)
+        opp, home = tuple_mirror_and_assign(n)
+        assert sched.opp == opp
+        assert sched.home == home
+        assert all(type(flag) is bool for row in sched.home for flag in row)
+        assert all(type(o) is int for row in sched.opp for o in row)
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 30])
+def test_rotate_matches_modular_index(n):
+    sched = mirror_and_assign(n)
+    L = sched.num_slots
+    for m in range(L):
+        rot = rotate(sched, m)
+        for grid, rot_grid in ((sched.opp, rot.opp), (sched.home, rot.home)):
+            assert rot_grid == tuple(
+                tuple(row[(s + m) % L] for s in range(L)) for row in grid
+            )
 
 
 def test_rotate_out_of_range():

@@ -12,6 +12,7 @@ from uttp import (
     check_drr,
     check_mirrored,
     check_no_repeater,
+    christofides,
     evaluate_assumption_a,
     evaluate_athome,
     exact_uttp,
@@ -324,6 +325,22 @@ def test_solve_tour_file_mode(nl4):
     assert not report.guarantees_valid  # tour-file mode makes no ratio claim
 
 
+def test_solve_cap_above_held_karp_cap_skips_the_dp():
+    # n=22 is past HELD_KARP_CAP: a larger cap must not ask for the DP
+    D = random_euclidean_instance(22, 0)
+    report, _ = solve(D, mode="christofides", cap=25, want_certificate=False)
+    assert report.tau is None and report.lower_bound is None
+    assert report == solve(D, mode="christofides", want_certificate=False)[0]
+
+
+def test_solve_tour_file_cap_above_held_karp_cap_trusts_the_tour():
+    D = random_euclidean_instance(22, 0)
+    tour = christofides(D).tour.vertices
+    report, _ = solve(D, mode="tour_file", tour=tour, cap=25, want_certificate=False)
+    assert report.tau == christofides(D).tour.length  # trusted, as past the cap
+    assert report == solve(D, mode="tour_file", tour=tour, want_certificate=False)[0]
+
+
 def test_solve_non_metric_voids_guarantees():
     D = random_euclidean_instance(4, 9)
     rows = [list(r) for r in D.d]
@@ -387,7 +404,8 @@ def test_solve_fraction_matrix_end_to_end():
     base = random_euclidean_instance(6, 13)
     rows = [[Fraction(x, 4) for x in row] for row in base.d]
     D = DistanceMatrix.from_rows(rows)
-    assert not D.integral
+    assert all(type(x) is Fraction for row in D.d for x in row)
+    assert D.array.dtype == object
     report, sched = solve(D)
     scaled_report, _ = solve(base)
     assert report.total_distance == Fraction(scaled_report.total_distance, 4)

@@ -17,9 +17,9 @@ from uttp import (
     select_pivot,
 )
 import uttp.tsp
-from uttp.tsp import HELD_KARP_CAP, Tour, _matching_greedy_swap, cycle_length
+from uttp.tsp import HELD_KARP_CAP, MATCHING_EXACT_MAX, Tour, _matching_greedy_swap, cycle_length
 
-from independent import all_cycles_min, per_mask_held_karp
+from independent import all_cycles_min, per_mask_held_karp, per_mask_matching_dp
 
 
 def uniform_matrix(n, c):
@@ -155,6 +155,36 @@ def test_matching_collinear(line4):
     m = min_weight_perfect_matching(line4, [0, 1, 2, 3])
     assert m.pairs == ((0, 1), (2, 3))
     assert m.weight == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.integers(0, 6),
+    extra=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    box=st.sampled_from([10.0, 30.0, 1000.0]),  # ties are common at 10
+    numbers=st.sampled_from(["int64", "quarter", "scaled"]),
+    data=st.data(),
+)
+def test_matching_dp_matches_per_mask_oracle(half, extra, seed, box, numbers, data):
+    k = 2 * half
+    D = random_euclidean_instance(k + extra, seed, box=box)
+    if numbers == "quarter":
+        D = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
+    elif numbers == "scaled":
+        D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
+    verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
+    m = min_weight_perfect_matching(D, verts)
+    pairs, weight = per_mask_matching_dp(D, verts)
+    assert m.exact and m.pairs == pairs
+    assert m.weight == weight and type(m.weight) is type(weight)
+
+
+def test_matching_dp_matches_oracle_at_the_cutoff():
+    D = random_euclidean_instance(MATCHING_EXACT_MAX + 2, 4, box=30.0)
+    verts = list(range(1, MATCHING_EXACT_MAX + 1))
+    m = min_weight_perfect_matching(D, verts)
+    assert m.exact and (m.pairs, m.weight) == per_mask_matching_dp(D, verts)
 
 
 def test_matching_rejects_odd(line4):
