@@ -2,8 +2,11 @@
 
 The golden files under ``tests/data/`` pin every candidate total, the
 tie-break, the report fields and the schedule rows, in JSON for nl4, nl6,
-nl8 and a one-decimal (exact rational) instance, and in CSV for nl6 and the
-rational instance. Regenerate one only for an intended output change:
+nl8 and a one-decimal (exact rational) instance, and in CSV for nl6, the
+rational instance and a random n=24 Christofides solve (``uttp gen --n 24
+--seed 1``). At n=24 the six teams the candidate scan treats as exceptions
+to its shift identity (solver module docstring) are all distinct; at n <= 8
+some coincide. Regenerate one only for an intended output change:
 
     uttp solve instances/nl6.txt --format csv --dump-candidates \\
         > tests/data/nl6.candidates.csv
@@ -19,18 +22,19 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
 CASES = [
-    ("instances/nl4.txt", "json", "nl4.candidates.json"),
-    ("instances/nl6.txt", "json", "nl6.candidates.json"),
-    ("instances/nl8.txt", "json", "nl8.candidates.json"),
-    ("tests/data/q6.txt", "json", "q6.candidates.json"),
-    ("instances/nl6.txt", "csv", "nl6.candidates.csv"),
-    ("tests/data/q6.txt", "csv", "q6.candidates.csv"),
+    ("instances/nl4.txt", "json", "nl4.candidates.json", "exact"),
+    ("instances/nl6.txt", "json", "nl6.candidates.json", "exact"),
+    ("instances/nl8.txt", "json", "nl8.candidates.json", "exact"),
+    ("tests/data/q6.txt", "json", "q6.candidates.json", "exact"),
+    ("instances/nl6.txt", "csv", "nl6.candidates.csv", "exact"),
+    ("tests/data/q6.txt", "csv", "q6.candidates.csv", "exact"),
+    ("tests/data/r24.txt", "csv", "r24.candidates.csv", "christofides"),
 ]
 
 
-@pytest.mark.parametrize("instance,fmt,golden", CASES, ids=[c[2] for c in CASES])
-def test_candidate_dump_is_byte_identical(capsys, instance, fmt, golden):
-    code = main(["solve", str(ROOT / instance), "--format", fmt, "--dump-candidates"])
+@pytest.mark.parametrize("instance,fmt,golden,tsp", CASES, ids=[c[2] for c in CASES])
+def test_candidate_dump_is_byte_identical(capsys, instance, fmt, golden, tsp):
+    code = main(["solve", str(ROOT / instance), "--tsp", tsp, "--format", fmt, "--dump-candidates"])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / golden).read_text()
