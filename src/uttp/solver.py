@@ -14,9 +14,47 @@ the same cycle cut open between slots m-1 and m, with home spliced in:
 
     travel_m = cyc - d[u[m-1]][u[m]] + d[u[m-1]][h] + d[h][u[m]]
 
-Since d is symmetric, d[h][u[m]] is rotation m+1's leg d[u[m]][h], so two
-gathers of about n(2n-2) legs per labeling score all 2n-2 rotations: the
-scan is O(n^3), not the O(n^4) of walking every candidate.
+Since d is symmetric, d[h][u[m]] is rotation m+1's leg d[u[m]][h], so one
+team's row over all 2n-2 rotations costs O(n) gathers.
+
+Pricing every team of every labeling that way is O(n^3). The scan is O(n^2),
+because neighbouring labelings repeat almost all of that work. Write k = n-1
+and L = 2n-2. Forward labeling r gives team i the venue cycle[(r+i) mod k],
+so team i under r has team i+1's venue under r-1. In the base schedule:
+
+- circle_schedule: team i meets (s-i) mod k in slot s, and team i+1 meets
+  ((s+2)-(i+1)) mod k = (s-i)+1 in slot s+2, the opponent one position on
+  (and when one of them meets the pivot instead, so does the other); the
+  pivot n-1 meets team j in the slots with 2j = s (mod k), and j+1 two
+  slots later;
+- mirror_and_assign: team i's home block is the L/2 slots from 2i for
+  i < n/2, from 2i+1 for n/2 <= i <= n-2, and from n-1 for the pivot.
+
+So team i's travel under (r, m) equals team i+1's under (r-1, (m+2) mod L),
+for every team except three, whose home blocks do not move on by two:
+
+- n/2-1, whose successor n/2 starts its block three slots later;
+- n-2, block at L-1, whose successor wraps to team 0 (block at 0, not 1);
+- the pivot n-1, whose venue and home block never move.
+
+Summed over teams, with T[r][m] the total of candidate (r, forward, m):
+
+    T[r][m] = T[r-1][(m+2) mod L]
+              - rows of teams 0, n/2, n-1 under (r-1, (m+2) mod L)
+              + rows of teams n/2-1, n-2, n-1 under (r, m)
+
+where teams 0, n/2 and n-1 are the ones no other team maps onto. Reversed
+labelings give team i the venue cycle[(r-i) mod k], team i-1's under r-1:
+the shift is m-2, the exceptions are teams 0, n/2 and n-1, and the dropped
+rows are teams n-2, n/2-1 and n-1. Moving labeling r's change into labeling
+0's frame (column m + 2r, or m - 2r reversed) turns the recurrence into one
+cumulative sum over r. Six team rows per labeling is O(n^2) work and memory
+for the whole (n-1) x (2n-2) table of each direction, which still prices
+every candidate.
+
+Every partial sum of that cumulative sum is a candidate total, and every
+step a difference of two, so the int64 bound of DistanceMatrix.array covers
+them; object arrays run the same code exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instance import DistanceMatrix, Number
-from .schedule import Schedule, mirror_and_assign, relabel, rotate
+from .schedule import Schedule, _mirror_arrays, mirror_and_assign, relabel, rotate
 from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, cycle_length, held_karp
 
 DIRECTIONS = ("forward", "reversed")
@@ -127,84 +165,121 @@ def evaluate_assumption_a(
     return per_team, sum(per_team)
 
 
-def assumption_a_route(
-    sched: Schedule, mapping: Sequence[int], team: int
-) -> tuple[int, ...]:
-    """The cyclic venue route of a team under the first/last-slot rule,
-    normalized to start at the team's own venue.
-
-    Consecutive stays collapse; the home stand must be one contiguous
-    cyclic block for the normalization to be well defined (true for every
-    schedule this package constructs).
-    """
-    seq = _venues(sched, mapping, team)
-    route: list[int] = []
-    for v in seq:
-        if not route or route[-1] != v:
-            route.append(v)
-    if len(route) > 1 and route[0] == route[-1]:
-        route.pop()
-    home_v = mapping[team]
-    if home_v not in route:
-        route.insert(0, home_v)  # away every slot never happens, but be total
-    i = route.index(home_v)
-    return tuple(route[i:] + route[:i])
-
-
 @dataclass(frozen=True)
 class ScheduleFamily:
-    """The mirrored base schedule and, per team and slot rotation, the flat
-    indices of the two legs the splice identity (module docstring) reads.
-
-    Slot rotations are never built: one cyclic walk per team through the
-    base schedule prices all 2n-2 of them, so a labeling costs O(n^2) and
-    the scan O(n^3). Rule A needs the cyclic walk alone."""
+    """The mirrored base schedule and, per team and slot, the team whose
+    venue it visits, from which the splice identity (module docstring)
+    prices all 2n-2 slot rotations of any labeling. Slot rotations are never
+    built: a labeling costs O(n^2), and the shift identity makes the whole
+    scan O(n^2) too."""
 
     n: int
     base: Schedule
-    # Per team t and rotation m, flat indices into a row-major team-by-team
-    # (n, n) matrix of the legs u[m-1] -> u[m] (cut) and u[m-1] -> h (back,
-    # whose extra last column repeats rotation 0). By symmetry the third leg
-    # h -> u[m] is back's column m+1.
-    cut: np.ndarray
-    back: np.ndarray
+    # host[t, s]: whose venue team t is at in base slot s (t itself when home)
+    host: np.ndarray
+    # prev[t, m] = host[t, (m-1) mod (2n-2)], m = 0..2n-2: whose venue team t
+    # is at in the last slot under slot rotation m (the extra last column
+    # repeats rotation 0)
+    prev: np.ndarray
 
 
 def schedule_family(n: int) -> ScheduleFamily:
     base = mirror_and_assign(n)
-    home, opp = np.array(base.home), np.array(base.opp, dtype=np.intp)
-    teams = np.arange(n)[:, None]
-    host = np.where(home, teams, opp)  # whose venue team t is at in base slot s
+    opp, home = _mirror_arrays(n)
+    host = np.where(home, np.arange(n)[:, None], opp)
     L = 2 * n - 2
-    prev = host[:, (np.arange(L + 1) - 1) % L]  # slot m-1's host, m = 0..L
-    return ScheduleFamily(n, base, prev[:, :L] * n + host, prev * n + teams)
+    return ScheduleFamily(n, base, host, host[:, (np.arange(L + 1) - 1) % L])
 
 
-def _cyclic_walks(
-    D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]
+def _legs(
+    D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, teams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per team, cyc (shape (n,)) and, per slot rotation m, the splice term
-    d[u[m-1]][h] + d[h][u[m]] - d[u[m-1]][u[m]] (shape (n, 2n-2)), in the
-    dtype of ``D.array``."""
-    venue = np.asarray(mapping, dtype=np.intp)
-    dv = D.array[venue][:, venue].ravel()  # distances between teams' venues
-    cut = dv[family.cut]
-    back = dv[family.back]
-    return cut.sum(axis=1), back[:, :-1] + back[:, 1:] - cut
+    """The legs the splice identity (module docstring) reads, for ``teams``
+    under each labeling ``venues[..., :]`` (team -> venue), in the dtype of
+    ``D.array``: per slot rotation m, the cut u[m-1] -> u[m] (shape
+    ``venues.shape[:-1] + (len(teams), 2n-2)``) and the way back
+    u[m-1] -> h (one more column: rotation 0 again, since by symmetry
+    h -> u[m] is column m+1)."""
+    n = family.n
+    dist = D.array.ravel()
+    prev = venues[..., family.prev[teams]] * n  # row offsets of u[m-1], m = 0..L
+    cut = dist[prev[..., :-1] + venues[..., family.host[teams]]]
+    back = dist[prev + venues[..., teams, None]]
+    return cut, back
+
+
+def _splice(cut: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Travel per slot rotation: cyc plus the splice term d[u[m-1]][h] +
+    d[h][u[m]] - d[u[m-1]][u[m]]."""
+    return cut.sum(axis=-1, keepdims=True) + back[..., :-1] + back[..., 1:] - cut
+
+
+def _summed_travel(
+    D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, teams: np.ndarray
+) -> np.ndarray:
+    """The athome travel of ``teams`` summed, per labeling and slot rotation:
+    shape ``venues.shape[:-1] + (2n-2,)``. The splice is linear in the legs,
+    so they are summed over the teams first, which saves additions (Fraction
+    ones are slow)."""
+    cut, back = _legs(D, family, venues, teams)
+    return _splice(cut.sum(axis=-2), back.sum(axis=-2))
 
 
 def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
     """Per-slot-rotation, per-team athome distances: shape (2n-2, n)."""
-    cyc, splice = _cyclic_walks(D, family, mapping)
-    return (cyc[:, None] + splice).T
+    return _splice(*_legs(D, family, np.asarray(mapping), np.arange(family.n))).T
 
 
-def assumption_a_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
-    """Per-slot-rotation, per-team distances under the first/last-slot rule,
-    shape (2n-2, n): every team travels its closed walk cyc (see
-    evaluate_assumption_a), whatever the rotation."""
-    cyc, _ = _cyclic_walks(D, family, mapping)
-    return np.tile(cyc, (2 * family.n - 2, 1))
+def _labelings(cycle: PivotedCycle, direction: str) -> np.ndarray:
+    """team_assignment(cycle, r, direction) for r = 0..n-2, as an (n-1, n)
+    array."""
+    k = len(cycle.cycle)
+    step = 1 if direction == "forward" else -1
+    offsets = (np.arange(k)[:, None] + step * np.arange(k)) % k
+    venues = np.asarray(cycle.cycle)[offsets]
+    return np.hstack([venues, np.full((k, 1), cycle.pivot)])
+
+
+def _direction_totals(
+    D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, direction: str
+) -> np.ndarray:
+    """Athome totals of every labeling r of one direction (``venues[r]``)
+    under every slot rotation m, shape (n-1, 2n-2), by the shift identity's
+    recurrence."""
+    n, half = family.n, family.n // 2
+    L = 2 * n - 2
+    if direction == "forward":
+        step, exceptions, images = 2, (half - 1, n - 2, n - 1), (0, half, n - 1)
+    else:
+        step, exceptions, images = -2, (0, half, n - 1), (n - 2, half - 1, n - 1)
+    added = _summed_travel(D, family, venues, np.array(exceptions))
+    dropped = _summed_travel(D, family, venues, np.array(images))
+    # Labeling r at rotation m sits at base column c = m + step*r, where it
+    # equals labeling r-1's total at that column, plus its own exception rows,
+    # less labeling r-1's image rows. Labeling 0 is the base frame.
+    r = np.arange(n - 1)[:, None]
+    to_base = (np.arange(L) - step * r) % L
+    deltas = added[r, to_base][1:] - dropped[r, to_base][:-1]
+    first = athome_table(D, family, venues[0]).sum(axis=1)
+    frames = np.cumsum(np.vstack([first[None], deltas]), axis=0)
+    return frames[r, (np.arange(L) + step * r) % L]
+
+
+def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCycle) -> np.ndarray:
+    """Athome total of every candidate, indexed [r, direction, m] with
+    directions in DIRECTIONS order: shape (n-1, 2, 2n-2). Row-major order is
+    the (r, direction, m) order in which the first minimum wins.
+
+    Up to n=8 every labeling sums all n teams' legs instead of running the
+    shift recurrence: that takes about 2n+2 additions per candidate, no
+    more than the recurrence's 18 (two three-team sums, a difference and the
+    cumulative sum), and far fewer numpy calls."""
+    venues = np.stack([_labelings(cycle, d) for d in DIRECTIONS], axis=1)  # [r, direction, team]
+    if family.n <= 8:
+        return _summed_travel(D, family, venues, np.arange(family.n))
+    return np.stack(
+        [_direction_totals(D, family, venues[:, di], d) for di, d in enumerate(DIRECTIONS)], axis=1
+    )
 
 
 def solve(
@@ -229,20 +304,10 @@ def solve(
         tau = None
 
     family = schedule_family(n)
-    best: Optional[tuple[Number, int, int, int]] = None
-    candidates: list[tuple[int, str, int, Number]] = []
-    for r in range(n - 1):
-        for di, direction in enumerate(DIRECTIONS):
-            mapping = team_assignment(pivoted, r, direction)
-            totals = athome_table(D, family, mapping).sum(axis=1).tolist()
-            if keep_candidates:
-                candidates.extend((r, direction, m, tot) for m, tot in enumerate(totals))
-            low = min(totals)
-            if best is None or low < best[0]:
-                best = (low, r, di, totals.index(low))
-
-    assert best is not None
-    total, r, di, m = best
+    totals = candidate_totals(D, family, pivoted)
+    flat = int(np.argmin(totals))
+    total = totals.item(flat)
+    r, di, m = map(int, np.unravel_index(flat, totals.shape))
     direction = DIRECTIONS[di]
     mapping = team_assignment(pivoted, r, direction)
     out_sched = relabel(rotate(family.base, m), mapping)
@@ -282,6 +347,11 @@ def solve(
         guarantees_valid=guarantees,
         ratio_bound=ratio_bound,
         certificate=certificate,
-        candidates=tuple(candidates) if keep_candidates else None,
+        candidates=tuple(
+            (cr, DIRECTIONS[cd], cm, tot)
+            for cr, per_r in enumerate(totals.tolist())
+            for cd, per_d in enumerate(per_r)
+            for cm, tot in enumerate(per_d)
+        ) if keep_candidates else None,
     )
     return report, out_sched

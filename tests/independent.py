@@ -7,7 +7,10 @@ kept as they were so the rewrites can be held to identical output:
 ``per_mask_held_karp`` (tie-breaks of the layer-wise DP),
 ``per_mask_matching_dp`` (tie-breaks of the layer-wise matching DP),
 ``triple_loop_violations`` and ``first_entry_fault`` (the vectorized load
-checks), and ``tuple_mirror_and_assign`` (the array-built base schedule).
+checks), ``tuple_mirror_and_assign`` (the array-built base schedule) and
+``per_labeling_scan`` (the shift-identity candidate scan). Two more,
+``assumption_a_route`` and ``assumption_a_table``, are helpers only the
+tests read, moved here out of the package.
 """
 
 from fractions import Fraction
@@ -218,3 +221,53 @@ def per_mask_matching_dp(D, verts):
         mask ^= (1 << i) | (1 << j)
     pairs.sort()
     return tuple(pairs), best[full]
+
+
+def per_labeling_scan(D, family, cycle):
+    """The package's earlier candidate scan: one athome table per labeling,
+    summed over teams. Returns nested lists indexed [r][direction][m], with
+    directions forward then reversed."""
+    from uttp.solver import DIRECTIONS, athome_table, team_assignment
+
+    return [
+        [
+            athome_table(D, family, team_assignment(cycle, r, direction)).sum(axis=1).tolist()
+            for direction in DIRECTIONS
+        ]
+        for r in range(len(cycle.cycle))
+    ]
+
+
+def _slot_venues(sched, mapping, team):
+    home = mapping[team]
+    return [home if sched.home[team][s] else mapping[sched.opp[team][s]] for s in range(len(sched.opp[team]))]
+
+
+def assumption_a_table(D, family, mapping):
+    """Per-slot-rotation, per-team distances under the first/last-slot rule,
+    shape (2n-2, n): every team travels the closed walk through its slot
+    venues, whatever the rotation."""
+    n = family.n
+    cyc = [cycle_len(D.d, _slot_venues(family.base, mapping, t)) for t in range(n)]
+    return np.tile(np.array(cyc, dtype=object), (2 * n - 2, 1))
+
+
+def assumption_a_route(sched, mapping, team):
+    """The cyclic venue route of a team under the first/last-slot rule,
+    normalized to start at the team's own venue.
+
+    Consecutive stays collapse; the home stand must be one contiguous
+    cyclic block for the normalization to be well defined (true for every
+    schedule the package constructs).
+    """
+    route = []
+    for v in _slot_venues(sched, mapping, team):
+        if not route or route[-1] != v:
+            route.append(v)
+    if len(route) > 1 and route[0] == route[-1]:
+        route.pop()
+    home = mapping[team]
+    if home not in route:
+        route.insert(0, home)  # away every slot never happens, but be total
+    i = route.index(home)
+    return tuple(route[i:] + route[:i])

@@ -15,7 +15,6 @@ import pytest
 
 from uttp import (
     DistanceMatrix,
-    assumption_a_route,
     brute_force_tsp,
     check_drr,
     check_mirrored,
@@ -32,9 +31,10 @@ from uttp import (
     team_assignment,
 )
 from uttp.cli import BEST_KNOWN_UB, main as cli_main
-from uttp.solver import ScheduleFamily, assumption_a_table, athome_table, schedule_family
+from uttp.solver import ScheduleFamily, athome_table, schedule_family
 from uttp.tsp import build_pivoted_cycle
 
+from independent import assumption_a_route, assumption_a_table
 from test_schedule import GOLDEN_10
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from uttp import (
     DistanceMatrix,
     SolverError,
-    assumption_a_route,
     build_pivoted_cycle,
     check_drr,
     check_mirrored,
@@ -23,9 +23,19 @@ from uttp import (
     solve,
     team_assignment,
 )
-from uttp.solver import assumption_a_table, athome_table, schedule_family
+from uttp.schedule import Schedule
+from uttp.solver import athome_table, candidate_totals, schedule_family
+from uttp.tsp import PivotedCycle
 
-from independent import mean, route_walk, rule_a_walk
+from independent import (
+    assumption_a_route,
+    assumption_a_table,
+    mean,
+    per_labeling_scan,
+    route_walk,
+    rule_a_walk,
+    tuple_mirror_and_assign,
+)
 
 
 def identity(n):
@@ -146,6 +156,56 @@ def test_tables_match_rotated_walks(n, seed, rational, data):
         assert rule_a[m] == list(evaluate_assumption_a(sched, mapping, D)[0])
 
 
+def test_schedule_family_matches_tuple_construction():
+    # host/prev straight from the closed forms equal what the earlier code
+    # derived from the base schedule's tuples
+    for n in range(4, 62, 2):
+        opp, home = tuple_mirror_and_assign(n)
+        family = schedule_family(n)
+        assert family.base == Schedule(n=n, opp=opp, home=home)
+        teams = np.arange(n)[:, None]
+        host = np.where(np.array(home), teams, np.array(opp))
+        L = 2 * n - 2
+        prev = host[:, (np.arange(L + 1) - 1) % L]
+        assert family.host.tolist() == host.tolist()
+        assert family.prev.tolist() == prev.tolist()
+
+
+def _symmetric(n, entries):
+    return [[0 if i == j else entries[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["int", "quarter", "scaled", "non-metric"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_shift_recurrence_matches_per_labeling_scan(kind, seed, data):
+    # the whole (n-1, 2, 2n-2) table, both directions, value and type.
+    # Fraction arithmetic is some 40x slower than int, so quarter-unit
+    # matrices stop at n=14; the 2^58-scaled ones take the same object-dtype
+    # code up to n=40.
+    n = 2 * data.draw(st.integers(2, 7 if kind == "quarter" else 20), label="n/2")
+    if kind == "non-metric":
+        entries = data.draw(st.lists(st.integers(0, 60), min_size=n * n, max_size=n * n))
+        D = DistanceMatrix.from_rows(_symmetric(n, entries))
+    else:
+        base = random_euclidean_instance(n, seed)
+        scale = {"int": lambda x: x, "quarter": lambda x: Fraction(x, 4), "scaled": lambda x: x << 58}[kind]
+        D = DistanceMatrix.from_rows([[scale(x) for x in row] for row in base.d])
+    assert D.array.dtype == (np.int64 if kind in ("int", "non-metric") else object)
+    order = data.draw(st.permutations(range(n)))
+    cycle = PivotedCycle(order[-1], tuple(order[:-1]), 0, None, None)
+    family = schedule_family(n)
+    got = candidate_totals(D, family, cycle).tolist()
+    want = per_labeling_scan(D, family, cycle)
+    assert got == want
+    assert [type(x) for x in np.ravel(np.array(got, dtype=object))] == [
+        type(x) for x in np.ravel(np.array(want, dtype=object))
+    ]
+
+
 def _check_scaled_nl8(nl8, shift, mode):
     # sums of 2n^2 such entries overflow int64 (and at 2^58 so do the
     # entries), so the scan and Held-Karp must switch to exact Python integers
@@ -199,7 +259,7 @@ def test_assumption_a_invariant_over_rotations():
 def test_assumption_a_matches_rule_walk(n, quarter, data):
     # arbitrary symmetric zero-diagonal entries, so mostly non-metric
     entries = data.draw(st.lists(st.integers(0, 60), min_size=n * n, max_size=n * n))
-    rows = [[0 if i == j else entries[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    rows = _symmetric(n, entries)
     if quarter:
         rows = [[Fraction(x, 4) for x in row] for row in rows]
     D = DistanceMatrix.from_rows(rows)
