@@ -50,7 +50,8 @@ rows are teams n-2, n/2-1 and n-1. Moving labeling r's change into labeling
 0's frame (column m + 2r, or m - 2r reversed) turns the recurrence into one
 cumulative sum over r. Six team rows per labeling is O(n^2) work and memory
 for the whole (n-1) x (2n-2) table of each direction, which still prices
-every candidate.
+every candidate. Up to STACKED_SCAN_MAX_N teams the scan sums every team's
+rows of every labeling instead, which takes fewer numpy calls.
 
 Every partial sum of that cumulative sum is a candidate total, and every
 step a difference of two, so the int64 bound of DistanceMatrix.array covers
@@ -66,10 +67,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instance import DistanceMatrix, Number
-from .schedule import Schedule, _mirror_arrays, mirror_and_assign, relabel, rotate
+from .schedule import Schedule, mirror_and_assign, relabel, rotate
 from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, cycle_length, held_karp
 
 DIRECTIONS = ("forward", "reversed")
+
+# Up to this n the scan sums every team's legs of every labeling in one
+# stacked gather, O(n^3) work in a few dozen numpy calls, instead of running
+# the shift recurrence, O(n^2) work in some two hundred. On a 2-vCPU x86
+# host the stacked sum was the faster one up to n=16 on int64 matrices and
+# up to n=10 on Fraction ones (15% slower at n=12).
+STACKED_SCAN_MAX_N = 12
 
 
 class SolverError(ValueError):
@@ -167,45 +175,39 @@ def evaluate_assumption_a(
 
 @dataclass(frozen=True)
 class ScheduleFamily:
-    """The mirrored base schedule and, per team and slot, the team whose
-    venue it visits, from which the splice identity (module docstring)
-    prices all 2n-2 slot rotations of any labeling. Slot rotations are never
-    built: a labeling costs O(n^2), and the shift identity makes the whole
-    scan O(n^2) too."""
+    """The mirrored base schedule and, per team and slot rotation, the team
+    whose venue it is at in the last slot, from which the splice identity
+    (module docstring) prices all 2n-2 slot rotations of any labeling. Slot
+    rotations are never built: a labeling costs O(n^2), and the shift
+    identity makes the whole scan O(n^2) too."""
 
     n: int
     base: Schedule
-    # host[t, s]: whose venue team t is at in base slot s (t itself when home)
-    host: np.ndarray
-    # prev[t, m] = host[t, (m-1) mod (2n-2)], m = 0..2n-2: whose venue team t
-    # is at in the last slot under slot rotation m (the extra last column
-    # repeats rotation 0)
+    # prev[t, m] = host[t, (m-1) mod (2n-2)], m = 0..2n-2, where host[t, s] is
+    # whose venue team t is at in base slot s (t itself when home): whose
+    # venue it is at in the last slot under slot rotation m. The extra last
+    # column repeats rotation 0, so prev[t, m+1] is host[t, m].
     prev: np.ndarray
 
 
 def schedule_family(n: int) -> ScheduleFamily:
     base = mirror_and_assign(n)
-    opp, home = _mirror_arrays(n)
-    host = np.where(home, np.arange(n)[:, None], opp)
+    host = np.where(np.array(base.home), np.arange(n)[:, None], np.array(base.opp, dtype=np.intp))
     L = 2 * n - 2
-    return ScheduleFamily(n, base, host, host[:, (np.arange(L + 1) - 1) % L])
+    return ScheduleFamily(n, base, host[:, (np.arange(L + 1) - 1) % L])
 
 
 def _legs(
     D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, teams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The legs the splice identity (module docstring) reads, for ``teams``
-    under each labeling ``venues[..., :]`` (team -> venue), in the dtype of
-    ``D.array``: per slot rotation m, the cut u[m-1] -> u[m] (shape
-    ``venues.shape[:-1] + (len(teams), 2n-2)``) and the way back
-    u[m-1] -> h (one more column: rotation 0 again, since by symmetry
-    h -> u[m] is column m+1)."""
-    n = family.n
-    dist = D.array.ravel()
-    prev = venues[..., family.prev[teams]] * n  # row offsets of u[m-1], m = 0..L
-    cut = dist[prev[..., :-1] + venues[..., family.host[teams]]]
-    back = dist[prev + venues[..., teams, None]]
-    return cut, back
+    (an index array, or one team) under each labeling ``venues[..., :]``
+    (team -> venue), in the dtype of ``D.array``: per slot rotation m, the
+    cut u[m-1] -> u[m] (shape ``venues.shape[:-1] + np.shape(teams) +
+    (2n-2,)``) and the way back u[m-1] -> h (one more column: rotation 0
+    again, since by symmetry h -> u[m] is column m+1)."""
+    u = venues[..., family.prev[teams]]  # u[m-1] for m = 0..L; u[..., 1:] is u[m]
+    return D.array[u[..., :-1], u[..., 1:]], D.array[u, venues[..., teams, None]]
 
 
 def _splice(cut: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -215,14 +217,18 @@ def _splice(cut: np.ndarray, back: np.ndarray) -> np.ndarray:
 
 
 def _summed_travel(
-    D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, teams: np.ndarray
+    D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, teams: Sequence[int]
 ) -> np.ndarray:
     """The athome travel of ``teams`` summed, per labeling and slot rotation:
     shape ``venues.shape[:-1] + (2n-2,)``. The splice is linear in the legs,
     so they are summed over the teams first, which saves additions (Fraction
-    ones are slow)."""
-    cut, back = _legs(D, family, venues, teams)
-    return _splice(cut.sum(axis=-2), back.sum(axis=-2))
+    ones are slow); one team at a time, so only one team's legs are held."""
+    cut, back = _legs(D, family, venues, teams[0])
+    for team in teams[1:]:
+        more_cut, more_back = _legs(D, family, venues, team)
+        cut += more_cut
+        back += more_back
+    return _splice(cut, back)
 
 
 def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
@@ -252,31 +258,27 @@ def _direction_totals(
         step, exceptions, images = 2, (half - 1, n - 2, n - 1), (0, half, n - 1)
     else:
         step, exceptions, images = -2, (0, half, n - 1), (n - 2, half - 1, n - 1)
-    added = _summed_travel(D, family, venues, np.array(exceptions))
-    dropped = _summed_travel(D, family, venues, np.array(images))
+    added = _summed_travel(D, family, venues, exceptions)
+    dropped = _summed_travel(D, family, venues, images)
     # Labeling r at rotation m sits at base column c = m + step*r, where it
     # equals labeling r-1's total at that column, plus its own exception rows,
     # less labeling r-1's image rows. Labeling 0 is the base frame.
     r = np.arange(n - 1)[:, None]
     to_base = (np.arange(L) - step * r) % L
-    deltas = added[r, to_base][1:] - dropped[r, to_base][:-1]
-    first = athome_table(D, family, venues[0]).sum(axis=1)
-    frames = np.cumsum(np.vstack([first[None], deltas]), axis=0)
-    return frames[r, (np.arange(L) + step * r) % L]
+    frames = added[r, to_base]
+    frames[1:] -= dropped[r, to_base][:-1]
+    frames[0] = athome_table(D, family, venues[0]).sum(axis=1)
+    return np.cumsum(frames, axis=0)[r, (np.arange(L) + step * r) % L]
 
 
 def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCycle) -> np.ndarray:
     """Athome total of every candidate, indexed [r, direction, m] with
     directions in DIRECTIONS order: shape (n-1, 2, 2n-2). Row-major order is
-    the (r, direction, m) order in which the first minimum wins.
-
-    Up to n=8 every labeling sums all n teams' legs instead of running the
-    shift recurrence: that takes about 2n+2 additions per candidate, no
-    more than the recurrence's 18 (two three-team sums, a difference and the
-    cumulative sum), and far fewer numpy calls."""
+    the (r, direction, m) order in which the first minimum wins."""
     venues = np.stack([_labelings(cycle, d) for d in DIRECTIONS], axis=1)  # [r, direction, team]
-    if family.n <= 8:
-        return _summed_travel(D, family, venues, np.arange(family.n))
+    if family.n <= STACKED_SCAN_MAX_N:
+        cut, back = _legs(D, family, venues, np.arange(family.n))
+        return _splice(cut.sum(axis=-2), back.sum(axis=-2))
     return np.stack(
         [_direction_totals(D, family, venues[:, di], d) for di, d in enumerate(DIRECTIONS)], axis=1
     )

@@ -24,7 +24,14 @@ from uttp import (
     team_assignment,
 )
 from uttp.schedule import Schedule
-from uttp.solver import athome_table, candidate_totals, schedule_family
+from uttp.solver import (
+    DIRECTIONS,
+    _direction_totals,
+    _labelings,
+    athome_table,
+    candidate_totals,
+    schedule_family,
+)
 from uttp.tsp import PivotedCycle
 
 from independent import (
@@ -157,18 +164,18 @@ def test_tables_match_rotated_walks(n, seed, rational, data):
 
 
 def test_schedule_family_matches_tuple_construction():
-    # host/prev straight from the closed forms equal what the earlier code
-    # derived from the base schedule's tuples
+    # the base schedule and prev[t, m] = host[t, (m-1) mod L], from the
+    # tuple-by-tuple construction
     for n in range(4, 62, 2):
         opp, home = tuple_mirror_and_assign(n)
         family = schedule_family(n)
         assert family.base == Schedule(n=n, opp=opp, home=home)
-        teams = np.arange(n)[:, None]
-        host = np.where(np.array(home), teams, np.array(opp))
         L = 2 * n - 2
-        prev = host[:, (np.arange(L + 1) - 1) % L]
-        assert family.host.tolist() == host.tolist()
-        assert family.prev.tolist() == prev.tolist()
+        prev = [
+            [t if home[t][(m - 1) % L] else opp[t][(m - 1) % L] for m in range(L + 1)]
+            for t in range(n)
+        ]
+        assert family.prev.tolist() == prev
 
 
 def _symmetric(n, entries):
@@ -198,12 +205,17 @@ def test_shift_recurrence_matches_per_labeling_scan(kind, seed, data):
     order = data.draw(st.permutations(range(n)))
     cycle = PivotedCycle(order[-1], tuple(order[:-1]), 0, None, None)
     family = schedule_family(n)
-    got = candidate_totals(D, family, cycle).tolist()
     want = per_labeling_scan(D, family, cycle)
-    assert got == want
-    assert [type(x) for x in np.ravel(np.array(got, dtype=object))] == [
-        type(x) for x in np.ravel(np.array(want, dtype=object))
-    ]
+    # candidate_totals sums all teams' legs up to STACKED_SCAN_MAX_N; the
+    # recurrence is checked at every n
+    shifted = np.stack(
+        [_direction_totals(D, family, _labelings(cycle, d), d) for d in DIRECTIONS], axis=1
+    )
+    for got in (candidate_totals(D, family, cycle).tolist(), shifted.tolist()):
+        assert got == want
+        assert [type(x) for x in np.ravel(np.array(got, dtype=object))] == [
+            type(x) for x in np.ravel(np.array(want, dtype=object))
+        ]
 
 
 def _check_scaled_nl8(nl8, shift, mode):
