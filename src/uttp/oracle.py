@@ -15,7 +15,7 @@ import numpy as np
 
 from .instance import DistanceMatrix, Number
 from .schedule import Schedule
-from .tsp import Tour, TspError, _check_vertex_set
+from .tsp import Tour, TspError, _check_vertex_set, _integer_image
 
 BRUTE_FORCE_MAX = 10
 
@@ -102,21 +102,18 @@ def exact_uttp(D: DistanceMatrix) -> OracleResult:
 
 
 def brute_force_tsp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = None) -> Tour:
-    """Minimum over all (k-1)!/2 distinct cycles; cap 10 vertices."""
+    """Minimum over all (k-1)!/2 distinct cycles, compared on the integer
+    image of the induced submatrix; cap 10 vertices."""
     verts = _check_vertex_set(D, vertex_set)
     k = len(verts)
     if k < 3:
         raise TspError(f"need at least 3 vertices, got {k}")
     if k > BRUTE_FORCE_MAX:
         raise TspError(f"{k} vertices exceeds the brute-force cap of {BRUTE_FORCE_MAX}")
-    rest = np.array(verts[1:])
-    perms = np.array(list(itertools.permutations(range(k - 1))), dtype=np.int8)
+    perms = np.array(list(itertools.permutations(range(1, k))), dtype=np.int8)
     perms = perms[perms[:, 0] < perms[:, -1]]  # drop mirror images
-    seqs = rest[perms]
-    full = np.concatenate(
-        [np.full((len(seqs), 1), verts[0], dtype=seqs.dtype), seqs], axis=1
-    )
-    d_arr = D.array
-    lens = d_arr[full[:, :-1], full[:, 1:]].sum(axis=1) + d_arr[full[:, -1], full[:, 0]]
+    full = np.concatenate([np.zeros((len(perms), 1), dtype=perms.dtype), perms], axis=1)
+    d_arr = _integer_image(D.array[np.ix_(verts, verts)])
+    lens = d_arr[full[:, :-1], full[:, 1:]].sum(axis=1) + d_arr[full[:, -1], 0]
     i = int(np.argmin(lens))  # first minimum in itertools.permutations order
-    return Tour.from_vertices(D, [int(v) for v in full[i]])
+    return Tour.from_vertices(D, [verts[v] for v in full[i]])

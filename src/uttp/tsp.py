@@ -4,25 +4,29 @@ minimum-weight perfect matchings, and the pivoted cycle the scheduler needs.
 All tie-breaks (DP, MST, matching, Euler traversal) resolve to the lowest
 vertex index so outputs are bit-for-bit reproducible.
 
-The exact DP runs on ``DistanceMatrix.array``, one code path for every
-input: int64 when a magnitude bound proves no sum can overflow, otherwise
-numpy dtype=object holding the exact ints or Fractions, so huge integers and
-rationals give exact tours with the same tie-breaks.
+The exact DPs compare sums of distances and nothing else, so they run on an
+integer image of the induced submatrix (``_integer_image``): int64 input as
+it is, other input times the LCM of its denominators over the GCD of the
+results, in int64 whenever that fits. Scaling by a positive constant keeps
+every comparison, so rational files get the tours and tie-breaks of their
+integer twins, and Fraction arithmetic never runs inside a DP. Tours,
+lengths and weights are still read from ``DistanceMatrix.d``.
 
-The DP table has one row per vertex set that holds the start vertex (the
-odd masks of the classic Held-Karp DP), ``(2^(k-1), k)`` cells, filled one
-popcount layer at a time. Each state gathers only the members of its
-previous set as predecessors, in increasing vertex order, and keeps
-``np.argmin``'s first minimum; the non-members a full-width row would also
-offer are never reachable, so the tours equal those of a per-mask DP over
-all k columns. ``held_karp`` refuses more than ``HELD_KARP_CAP`` vertices
-before allocating, whatever ``cap`` it is given.
+The Held-Karp table holds every vertex set that contains the start vertex,
+``(k, 2^(k-1))`` cells, its columns sorted by set size. Each popcount layer
+is extended one vertex in a single step over whole rows: for every set and
+every next vertex j, the minimum over all k predecessors i of
+``dp[i] + dist[i, j]``, keeping the first minimum. A predecessor outside the
+set holds ``INF``, longer than any Hamilton path, so it never wins and the
+tours equal those of a per-mask DP. ``held_karp`` refuses more than
+``HELD_KARP_CAP`` vertices before allocating, whatever ``cap`` it is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +34,10 @@ from .instance import DistanceMatrix, Number
 
 HELD_KARP_CAP = 20
 MATCHING_EXACT_MAX = 16
+# sets per Held-Karp step: bounds its (k, HK_BLOCK) temporaries. numpy 2.4's
+# broadcast adds ran 2-3x slower per element on rows of 2560 or fewer
+# (2-vCPU x86-64 host), and no faster on rows past 3072.
+HK_BLOCK = 3072
 
 
 class TspError(ValueError):
@@ -122,71 +130,96 @@ def held_karp(
     return Tour.from_vertices(D, _held_karp(D, verts))
 
 
-def _popcount_layers(bits: int, sizes: Iterable[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per set size p in ``sizes``: the p-element subsets of range(bits) as
-    increasing bitmasks, and their members in increasing order as an int8
-    (count, p) matrix. Both subset DPs fill their tables in this order."""
-    r = np.arange(1 << bits)
-    popcount = np.zeros(1 << bits, dtype=np.int8)
+def _integer_image(a: np.ndarray) -> np.ndarray:
+    """A matrix of integers whose sums compare as those of ``a`` do. An
+    int64 ``a`` is returned as it is. An object array is scaled by the
+    positive factor that makes its entries coprime integers: times the LCM
+    of their denominators, over the GCD of the products. The image is int64
+    under the bound ``DistanceMatrix.array`` uses (``2 k^2`` times the
+    largest entry below 2^62), else Python ints in an object array."""
+    if a.dtype != object:
+        return a
+    scale = math.lcm(*(x.denominator for x in a.flat))
+    ints = [int(x * scale) for x in a.flat]
+    common = math.gcd(*ints) or 1
+    ints = [x // common for x in ints]
+    fits = 2 * len(a) ** 2 * max(ints, default=0) < 1 << 62
+    return np.array(ints, dtype=np.int64 if fits else object).reshape(a.shape)
+
+
+def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets of range(bits) as bitmasks sorted by size, then value,
+    and where each size starts: ``order[start[p]:start[p + 1]]`` are the
+    p-element subsets. Both subset DPs fill their tables in this order."""
+    masks = np.arange(1 << bits)
+    size = np.zeros(1 << bits, dtype=np.int8)
     for b in range(bits):
-        popcount += (r >> b) & 1
-    for p in sizes:
-        sets = np.flatnonzero(popcount == p)
-        members = np.empty((len(sets), p), dtype=np.int8)
-        filled = np.zeros(len(sets), dtype=np.intp)
-        for b in range(bits):
-            hit = np.flatnonzero((sets >> b) & 1)
-            members[hit, filled[hit]] = b
-            filled[hit] += 1
-        yield sets, members
+        size += (masks >> b) & 1
+    start = np.concatenate(([0], np.cumsum(np.bincount(size))))
+    return np.argsort(size, kind="stable"), start
+
+
+def _min_plus(src: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``out[j, c] = min_i src[i, c] + step[i, j]`` over the rows i of src,
+    in two temporaries the size of the result."""
+    out = src[0] + step[0, :, None]
+    via = np.empty_like(out)
+    for i in range(1, len(step)):
+        np.minimum(out, np.add(src[i], step[i, :, None], out=via), out=out)
+    return out
 
 
 def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
-    """Subset DP in the dtype of ``D.array``; returns the cycle from verts[0].
+    """Subset DP on the integer image of the induced submatrix; returns the
+    cycle from verts[0].
 
-    Row ``r`` of the table is the set ``{0} | {j : bit j-1 of r}``, so only
-    the sets that hold the start vertex get a row: ``(2^(k-1), k)`` cells.
-    Rows are filled one popcount layer at a time, and for each last vertex
-    j the predecessors gathered are the previous set's members, in
-    increasing order (vertex 0 alone for the first layer). A per-mask DP
-    over all k columns finds the same first minimum: a non-member column
-    holds at least ``INF``, and every member's candidate is shorter.
+    Column ``c`` of the table is the set ``{0} | {j : bit j-1 of order[c]}``
+    and row i its last vertex; columns run through the sets by size, so a
+    popcount layer is a slice. Each layer, in blocks of ``HK_BLOCK`` sets,
+    becomes the next in one min-plus step over whole rows: for every next
+    vertex j, ``min_i k * dp[i] + step[i, j]`` with
+    ``step[i, j] = k * dist[i, j] + i``. The low part ``i < k`` makes that
+    minimum the shortest extension times k plus its first minimizing
+    predecessor, the one ``np.argmin`` would pick. A predecessor outside the
+    set holds ``INF``, and a member's candidate is always shorter, so the
+    tie-breaks are those of a per-mask DP over all k columns.
     """
     k = len(verts)
-    dist = D.array[np.ix_(verts, verts)]
-    rows = 1 << (k - 1)
-    INF = k * dist.max() + 1  # longer than any Hamilton path on these vertices
-    dp = np.full((rows, k), INF, dtype=dist.dtype)
-    parent = np.zeros((rows, k), dtype=np.int8)
+    dist = _integer_image(D.array[np.ix_(verts, verts)])
+    order, start = _popcount_order(k - 1)
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    step = k * dist + np.arange(k)[:, None]
+    # k times a length no Hamilton path reaches; INF plus a step is at most
+    # 2 k^2 times the largest entry, plus 2k, so the int64 image cannot overflow
+    INF = k * (k * dist.max() + 1)
+    dp = np.full((k, len(order)), INF, dtype=dist.dtype)  # k * path length
+    parent = np.zeros(dp.shape, dtype=np.int8)
     dp[0, 0] = 0
-    cells = dp.reshape(-1)  # row r, vertex i at r * k + i
-    for layer, members in _popcount_layers(k - 1, range(1, k)):
-        p = members.shape[1]
-        members += 1  # bit b of a row is vertex b + 1
-        for j in range(1, k):
-            has_j = np.flatnonzero((layer >> (j - 1)) & 1)
-            sel = layer[has_j]
-            if p == 1:
-                dp[sel, j] = dist[0, j]  # parent stays 0
-                continue
-            prev = sel ^ (1 << (j - 1))
-            m = members[has_j]
-            m = m[m != j].reshape(len(sel), p - 1)  # prev's members, increasing
-            cand = cells[prev[:, None] * k + m] + dist[m, j]
-            arg = np.argmin(cand, axis=1)  # first minimum: ties break low
-            at = np.arange(len(sel))
-            dp[sel, j] = cand[at, arg]
-            parent[sel, j] = m[at, arg]
-    full = rows - 1
-    closing = dp[full] + dist[:, 0]  # closing[0] stays INF: dp[full, 0] is never set
-    j = int(np.argmin(closing))
-    order = [0]
-    row = full
+    bit = np.append(0, 1 << np.arange(k - 1))[:, None]  # vertex j's bit; none for 0
+    offset = (np.arange(k) * len(order))[:, None]  # row starts in dp.reshape(-1)
+    dp_cells, parent_cells = dp.reshape(-1), parent.reshape(-1)
+    for p in range(k - 1):
+        for lo in range(start[p], start[p + 1], HK_BLOCK):
+            hi = min(lo + HK_BLOCK, start[p + 1])
+            best = _min_plus(dp[:, lo:hi], step)  # (k, sets): row j is the next vertex
+            last = (best % k).astype(np.int8)  # the first minimizing predecessor
+            best -= last
+            sets = order[lo:hi]
+            at = sets | bit  # (k, sets): each set grown by vertex j
+            new = at != sets  # j was not in the set yet
+            np.take(column, at, out=at)
+            at += offset
+            at = at[new]
+            dp_cells[at] = best[new]
+            parent_cells[at] = last[new]
+    j = int(np.argmin(dp[:, -1] + step[:, 0]))  # the last column is the full set
+    tour, mask = [0], len(order) - 1
     while j:
-        order.append(j)
-        row, j = row ^ (1 << (j - 1)), int(parent[row, j])
-    order[1:] = reversed(order[1:])
-    return [verts[i] for i in order]
+        tour.append(j)
+        j, mask = int(parent[j, column[mask]]), mask ^ (1 << (j - 1))
+    tour[1:] = reversed(tour[1:])
+    return [verts[i] for i in tour]
 
 
 def min_weight_perfect_matching(
@@ -209,15 +242,24 @@ def min_weight_perfect_matching(
 
 
 def _matching_dp(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, int], ...], Number]:
-    """Subset DP in the dtype of ``D.array``, one popcount layer at a time:
-    each even set's lowest member i pairs with another member j, taking the
-    first minimum over the members j in increasing order."""
+    """Subset DP on the integer image of the induced submatrix, one popcount
+    layer at a time: each even set's lowest member i pairs with another
+    member j, taking the first minimum over the members j in increasing
+    order."""
     k = len(verts)
-    w = D.array[np.ix_(verts, verts)]
+    w = _integer_image(D.array[np.ix_(verts, verts)])
     bits = 1 << np.arange(k)
     best = np.zeros(1 << k, dtype=w.dtype)
     mate = np.zeros(1 << k, dtype=np.intp)
-    for sets, members in _popcount_layers(k, range(2, k + 1, 2)):
+    order, start = _popcount_order(k)
+    for p in range(2, k + 1, 2):
+        sets = order[start[p]:start[p + 1]]
+        members = np.empty((len(sets), p), dtype=np.int8)  # increasing, one bit at a time
+        filled = np.zeros(len(sets), dtype=np.intp)
+        for b in range(k):
+            hit = np.flatnonzero((sets >> b) & 1)
+            members[hit, filled[hit]] = b
+            filled[hit] += 1
         i, js = members[:, :1], members[:, 1:]
         cand = best[sets[:, None] ^ bits[i] ^ bits[js]] + w[i, js]
         arg = np.argmin(cand, axis=1)  # first minimum: ties break low

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,22 @@ from uttp import (
     select_pivot,
 )
 import uttp.tsp
-from uttp.tsp import HELD_KARP_CAP, MATCHING_EXACT_MAX, Tour, _matching_greedy_swap, cycle_length
+from uttp.tsp import (
+    HELD_KARP_CAP,
+    MATCHING_EXACT_MAX,
+    Tour,
+    _integer_image,
+    _matching_greedy_swap,
+    cycle_length,
+)
 
 from independent import all_cycles_min, per_mask_held_karp, per_mask_matching_dp
+
+
+def coprime_big(x):
+    """An entry past the int64 bound; such entries have no common factor, and
+    every path over the same number of edges gains the same offset."""
+    return (x << 58) + 1 if x else 0
 
 
 def uniform_matrix(n, c):
@@ -107,7 +122,7 @@ def test_held_karp_cap_cannot_be_raised(monkeypatch):
     extra=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
     box=st.sampled_from([20.0, 50.0, 1000.0]),  # ties are common at 20
-    numbers=st.sampled_from(["int64", "quarter", "scaled"]),
+    numbers=st.sampled_from(["int64", "quarter", "scaled", "coprime"]),
     data=st.data(),
 )
 def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
@@ -116,12 +131,60 @@ def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
         D = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
     elif numbers == "scaled":  # past the int64 bound: an object array of ints
         D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
+    elif numbers == "coprime":  # no common factor: the DP itself runs on Python ints
+        D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
     assert (D.array.dtype == object) == (numbers != "int64")
     verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
     tour = held_karp(D, vertex_set=verts)
     oracle = Tour.from_vertices(D, per_mask_held_karp(D, verts))
     assert tour.vertices == oracle.vertices
     assert tour.length == oracle.length
+
+
+@pytest.mark.parametrize("k", [13, 14, 15, 16])
+def test_held_karp_matches_per_mask_oracle_past_the_property_sizes(k):
+    # a tie-heavy box; the quarter-unit twin must break every tie as the
+    # oracle does on the integers (the oracle itself is too slow on Fractions)
+    D = random_euclidean_instance(k, k, box=20.0)
+    Q = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
+    oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
+    tour, twin = held_karp(D), held_karp(Q)
+    assert tour == oracle
+    assert twin.vertices == oracle.vertices and twin.length == Fraction(oracle.length, 4)
+
+
+def thirds_and_sevenths(D):
+    """An integer twin of D (each entry times 3 or 7) and that twin over 21:
+    thirds, sevenths and integers, whose LCM 21 is more than any single
+    denominator."""
+    twin = DistanceMatrix.from_rows(
+        [[x * (7 if (i + j) % 2 else 3) for j, x in enumerate(row)] for i, row in enumerate(D.d)]
+    )
+    mixed = DistanceMatrix.from_rows([[Fraction(x, 21) for x in row] for row in twin.d])
+    assert {x.denominator for row in mixed.d for x in row} == {1, 3, 7}
+    return twin, mixed
+
+
+def test_mixed_denominators_take_the_tour_of_their_integer_twin():
+    twin, D = thirds_and_sevenths(random_euclidean_instance(12, 5, box=20.0))
+    assert held_karp(D).vertices == held_karp(twin).vertices
+    assert held_karp(D).length == Fraction(held_karp(twin).length, 21)
+
+
+def test_integer_image():
+    D = random_euclidean_instance(8, 3)
+    tenths = DistanceMatrix.from_rows([[Fraction(x, 10) for x in row] for row in D.d])
+    scaled = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
+    twin, mixed = thirds_and_sevenths(D)
+    big = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
+    assert _integer_image(D.array) is D.array
+    # object arrays whose image is their integer twin over its GCD, in int64
+    for M, ints in ((tenths, D), (scaled, D), (mixed, twin)):
+        image = _integer_image(M.array)
+        assert M.array.dtype == object and image.dtype == np.int64
+        assert (image == ints.array // math.gcd(*ints.array.flat)).all()
+    assert _integer_image(big.array).dtype == object
+    assert (_integer_image(big.array) == big.array).all()
 
 
 def test_held_karp_fraction_matrix():
@@ -163,7 +226,7 @@ def test_matching_collinear(line4):
     extra=st.integers(3, 6),
     seed=st.integers(0, 2**32 - 1),
     box=st.sampled_from([10.0, 30.0, 1000.0]),  # ties are common at 10
-    numbers=st.sampled_from(["int64", "quarter", "scaled"]),
+    numbers=st.sampled_from(["int64", "quarter", "scaled", "coprime"]),
     data=st.data(),
 )
 def test_matching_dp_matches_per_mask_oracle(half, extra, seed, box, numbers, data):
@@ -173,6 +236,8 @@ def test_matching_dp_matches_per_mask_oracle(half, extra, seed, box, numbers, da
         D = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
     elif numbers == "scaled":
         D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
+    elif numbers == "coprime":
+        D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
     verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
     m = min_weight_perfect_matching(D, verts)
     pairs, weight = per_mask_matching_dp(D, verts)
