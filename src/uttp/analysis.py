@@ -120,7 +120,7 @@ def certify(
     rows: list[list[Exact]] = athome_table(D, family, mapping).tolist()
     M = len(rows)
     totals = [sum(row) for row in rows]
-    avg = Fraction(sum(totals), M)
+    avg = Fraction(sum(totals), M) * D.unit
     rhs = (
         (n - 2) * Fraction(cycle.cycle_length)
         + 2 * Fraction(pivot_sum)
@@ -132,7 +132,7 @@ def certify(
 
     tightest: Optional[CheckResult] = None
     for t in range(n):
-        team_avg = Fraction(sum(rows[m][t] for m in range(M)), M)
+        team_avg = Fraction(sum(rows[m][t] for m in range(M)), M) * D.unit
         team_rhs = Fraction(l_a[t]) + Fraction(D.row_sum(mapping[t])) / (n - 1)
         c = CheckResult("team_avg", team_avg, team_rhs)
         if not c.ok:

@@ -4,7 +4,9 @@ Instance files are plain text: whitespace-separated numbers, either exactly
 n*n tokens (row-major square matrix) or a leading token n followed by n*n
 tokens. Integral files parse to ints; a file with any other token parses to
 exact ``Fraction``s throughout, so downstream arithmetic never accumulates
-float error and never mixes ints with Fractions.
+float error and never mixes ints with Fractions. Every numeric step runs on
+one integer image of the entries, made at load (``DistanceMatrix.array``),
+and reports go back to input units through ``DistanceMatrix.unit``.
 
 Loading checks entries with numpy, a few rows at a time (no (n, n, n)
 tensor), and walks in Python only the entries it flags, so error texts and
@@ -51,12 +53,14 @@ class DistanceMatrix:
     n: int
     d: tuple[tuple[Number, ...], ...]
     metric: bool
-    # The distances as an (n, n) numpy array, built once per matrix. int64
-    # when every entry is an int and 2n^2 * max entry < 2^62, so any sum of
-    # up to 2n^2 entries (a whole schedule's travel, splice terms included)
-    # fits; otherwise dtype=object holding the exact ints and Fractions, on
+    # The distances as an (n, n) array of integers, built once per matrix by
+    # _as_integers: d[i][j] == array[i, j] * unit, and a positive scale
+    # keeps every comparison of sums. int64 when 2n^2 * max entry < 2^62, so
+    # any sum of up to 2n^2 entries (a whole schedule's travel, splice terms
+    # included) fits; otherwise dtype=object holding exact Python ints, on
     # which the same numpy code stays exact. Read-only: every caller shares it.
     array: np.ndarray = field(repr=False, compare=False)
+    unit: Number = field(repr=False, compare=False)  # an int, or a Fraction for rational d
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Number]]) -> "DistanceMatrix":
@@ -68,10 +72,7 @@ class DistanceMatrix:
         n = len(d)
         if n < 1 or any(len(row) != n for row in d):
             raise InstanceError("distance matrix must be square")
-        # magnitudes: a negative entry must not overflow before it is rejected
-        big = max(max(map(max, d)), -min(map(min, d)))
-        fits_int64 = integral and 2 * n * n * big < 1 << 62
-        a = np.array(d, dtype=np.int64 if fits_int64 else object)
+        a, unit = _as_integers(d, integral)
         a.flags.writeable = False
         faulty = (a.diagonal() != 0) | (a < 0).any(axis=1) | (a != a.T).any(axis=1)
         if faulty.any():
@@ -86,7 +87,7 @@ class DistanceMatrix:
                         f"asymmetric entries ({i},{j})={d[i][j]} vs ({j},{i})={d[j][i]}"
                     )
         metric = not _metric_violations(d, a, cap=1)
-        return cls(n=n, d=d, metric=metric, array=a)
+        return cls(n=n, d=d, metric=metric, array=a, unit=unit)
 
     def row_sum(self, i: int) -> Number:
         return sum(self.d[i][j] for j in range(self.n) if j != i)
@@ -94,6 +95,31 @@ class DistanceMatrix:
     def pair_sum(self) -> Number:
         """Sum of d[v][v'] over all ordered pairs v != v'."""
         return sum(self.row_sum(i) for i in range(self.n))
+
+
+def _fits_int64(n: int, entries: Iterable[int]) -> bool:
+    # magnitudes: a negative entry must not overflow before it is rejected
+    return 2 * n * n * max(map(abs, entries)) < 1 << 62
+
+
+def _as_integers(
+    d: tuple[tuple[Number, ...], ...], integral: bool
+) -> tuple[np.ndarray, Number]:
+    """``(a, unit)`` with ``d[i][j] == a[i, j] * unit`` and ``unit > 0``: ``d``
+    itself when it is integral and fits int64, else its entries times the LCM
+    of their denominators, over the GCD of the results. ``unit`` is an int
+    for integral ``d`` and a Fraction otherwise, so values scaled back have
+    the number type of ``d``'s own entries."""
+    n = len(d)
+    flat = list(chain.from_iterable(d))
+    if integral and _fits_int64(n, flat):
+        return np.array(d, dtype=np.int64), 1
+    scale = math.lcm(*(x.denominator for x in flat))
+    ints = [x.numerator * (scale // x.denominator) for x in flat]
+    common = math.gcd(*ints) or 1
+    ints = [x // common for x in ints]
+    a = np.array(ints, dtype=np.int64 if _fits_int64(n, ints) else object).reshape(n, n)
+    return a, common if integral else Fraction(common, scale)
 
 
 def _parse_token(tok: str) -> Number:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .instance import DistanceMatrix, Number
 from .schedule import Schedule
-from .tsp import Tour, TspError, _check_vertex_set, _integer_image
+from .tsp import Tour, TspError, _check_vertex_set
 
 BRUTE_FORCE_MAX = 10
 
@@ -113,7 +113,7 @@ def brute_force_tsp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = Non
     perms = np.array(list(itertools.permutations(range(1, k))), dtype=np.int8)
     perms = perms[perms[:, 0] < perms[:, -1]]  # drop mirror images
     full = np.concatenate([np.zeros((len(perms), 1), dtype=perms.dtype), perms], axis=1)
-    d_arr = _integer_image(D.array[np.ix_(verts, verts)])
+    d_arr = D.array[np.ix_(verts, verts)]
     lens = d_arr[full[:, :-1], full[:, 1:]].sum(axis=1) + d_arr[full[:, -1], 0]
     i = int(np.argmin(lens))  # first minimum in itertools.permutations order
     return Tour.from_vertices(D, [verts[v] for v in full[i]])

@@ -50,12 +50,13 @@ rows are teams n-2, n/2-1 and n-1. Moving labeling r's change into labeling
 0's frame (column m + 2r, or m - 2r reversed) turns the recurrence into one
 cumulative sum over r. Six team rows per labeling is O(n^2) work and memory
 for the whole (n-1) x (2n-2) table of each direction, which still prices
-every candidate. Up to STACKED_SCAN_MAX_N teams the scan sums every team's
-rows of every labeling instead, which takes fewer numpy calls.
+every candidate.
 
-Every partial sum of that cumulative sum is a candidate total, and every
-step a difference of two, so the int64 bound of DistanceMatrix.array covers
-them; object arrays run the same code exactly.
+The scan reads DistanceMatrix.array, the integer image of the distances, so
+its totals are in units of DistanceMatrix.unit; solve scales only what it
+reports. Every partial sum of the cumulative sum is a candidate total, and
+every step a difference of two, so the int64 bound of the image covers them;
+an object image (integers past that bound) runs the same code exactly.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ from .schedule import Schedule, mirror_and_assign, relabel, rotate
 from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, cycle_length, held_karp
 
 DIRECTIONS = ("forward", "reversed")
-
-# Up to this n the scan sums every team's legs of every labeling in one
-# stacked gather, O(n^3) work in a few dozen numpy calls, instead of running
-# the shift recurrence, O(n^2) work in some two hundred. On a 2-vCPU x86
-# host the stacked sum was the faster one up to n=16 on int64 matrices and
-# up to n=10 on Fraction ones (15% slower at n=12).
-STACKED_SCAN_MAX_N = 12
 
 
 class SolverError(ValueError):
@@ -201,7 +195,7 @@ def _legs(
     D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, teams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The legs the splice identity (module docstring) reads, for ``teams``
-    (an index array, or one team) under each labeling ``venues[..., :]``
+    (an index array) under each labeling ``venues[..., :]``
     (team -> venue), in the dtype of ``D.array``: per slot rotation m, the
     cut u[m-1] -> u[m] (shape ``venues.shape[:-1] + np.shape(teams) +
     (2n-2,)``) and the way back u[m-1] -> h (one more column: rotation 0
@@ -216,23 +210,9 @@ def _splice(cut: np.ndarray, back: np.ndarray) -> np.ndarray:
     return cut.sum(axis=-1, keepdims=True) + back[..., :-1] + back[..., 1:] - cut
 
 
-def _summed_travel(
-    D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, teams: Sequence[int]
-) -> np.ndarray:
-    """The athome travel of ``teams`` summed, per labeling and slot rotation:
-    shape ``venues.shape[:-1] + (2n-2,)``. The splice is linear in the legs,
-    so they are summed over the teams first, which saves additions (Fraction
-    ones are slow); one team at a time, so only one team's legs are held."""
-    cut, back = _legs(D, family, venues, teams[0])
-    for team in teams[1:]:
-        more_cut, more_back = _legs(D, family, venues, team)
-        cut += more_cut
-        back += more_back
-    return _splice(cut, back)
-
-
 def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[int]) -> np.ndarray:
-    """Per-slot-rotation, per-team athome distances: shape (2n-2, n)."""
+    """Per-slot-rotation, per-team athome distances in units of ``D.unit``:
+    shape (2n-2, n)."""
     return _splice(*_legs(D, family, np.asarray(mapping), np.arange(family.n))).T
 
 
@@ -246,42 +226,30 @@ def _labelings(cycle: PivotedCycle, direction: str) -> np.ndarray:
     return np.hstack([venues, np.full((k, 1), cycle.pivot)])
 
 
-def _direction_totals(
-    D: DistanceMatrix, family: ScheduleFamily, venues: np.ndarray, direction: str
-) -> np.ndarray:
-    """Athome totals of every labeling r of one direction (``venues[r]``)
-    under every slot rotation m, shape (n-1, 2n-2), by the shift identity's
-    recurrence."""
+def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCycle) -> np.ndarray:
+    """Athome total of every candidate in units of ``D.unit``, indexed
+    [r, direction, m] with directions in DIRECTIONS order: shape
+    (n-1, 2, 2n-2). Row-major order is the (r, direction, m) order in which
+    the first minimum wins. Labeling 0 is priced team by team, the others by
+    the shift identity's recurrence (module docstring)."""
     n, half = family.n, family.n // 2
     L = 2 * n - 2
-    if direction == "forward":
-        step, exceptions, images = 2, (half - 1, n - 2, n - 1), (0, half, n - 1)
-    else:
-        step, exceptions, images = -2, (0, half, n - 1), (n - 2, half - 1, n - 1)
-    added = _summed_travel(D, family, venues, exceptions)
-    dropped = _summed_travel(D, family, venues, images)
-    # Labeling r at rotation m sits at base column c = m + step*r, where it
-    # equals labeling r-1's total at that column, plus its own exception rows,
-    # less labeling r-1's image rows. Labeling 0 is the base frame.
-    r = np.arange(n - 1)[:, None]
-    to_base = (np.arange(L) - step * r) % L
-    frames = added[r, to_base]
-    frames[1:] -= dropped[r, to_base][:-1]
-    frames[0] = athome_table(D, family, venues[0]).sum(axis=1)
-    return np.cumsum(frames, axis=0)[r, (np.arange(L) + step * r) % L]
-
-
-def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCycle) -> np.ndarray:
-    """Athome total of every candidate, indexed [r, direction, m] with
-    directions in DIRECTIONS order: shape (n-1, 2, 2n-2). Row-major order is
-    the (r, direction, m) order in which the first minimum wins."""
     venues = np.stack([_labelings(cycle, d) for d in DIRECTIONS], axis=1)  # [r, direction, team]
-    if family.n <= STACKED_SCAN_MAX_N:
-        cut, back = _legs(D, family, venues, np.arange(family.n))
-        return _splice(cut.sum(axis=-2), back.sum(axis=-2))
-    return np.stack(
-        [_direction_totals(D, family, venues[:, di], d) for di, d in enumerate(DIRECTIONS)], axis=1
-    )
+    # forward labelings add the rows of the first team set and drop those of
+    # the second; reversed labelings swap the sets
+    cut, back = _legs(D, family, venues, np.array([[half - 1, n - 2, n - 1], [0, half, n - 1]]))
+    rows = _splice(cut.sum(axis=-2), back.sum(axis=-2))  # [r, direction, team set, m]
+    added, dropped = rows[:, [0, 1], [0, 1]], rows[:, [0, 1], [1, 0]]
+    # Labeling r at rotation m sits at base column c = m + step*r (step 2
+    # forward, -2 reversed), where it equals labeling r-1's total at that
+    # column, plus its own added rows, less labeling r-1's dropped rows.
+    # Labeling 0 is the base frame.
+    r, di, step = np.arange(n - 1)[:, None, None], np.arange(2)[:, None], np.array([[2], [-2]])
+    to_base = (np.arange(L) - step * r) % L
+    frames = added[r, di, to_base]
+    frames[1:] -= dropped[r, di, to_base][:-1]
+    frames[0] = [athome_table(D, family, mapping).sum(axis=1) for mapping in venues[0]]
+    return np.cumsum(frames, axis=0)[r, di, (np.arange(L) + step * r) % L]
 
 
 def solve(
@@ -308,7 +276,7 @@ def solve(
     family = schedule_family(n)
     totals = candidate_totals(D, family, pivoted)
     flat = int(np.argmin(totals))
-    total = totals.item(flat)
+    total = totals.item(flat) * D.unit
     r, di, m = map(int, np.unravel_index(flat, totals.shape))
     direction = DIRECTIONS[di]
     mapping = team_assignment(pivoted, r, direction)
@@ -350,7 +318,7 @@ def solve(
         ratio_bound=ratio_bound,
         certificate=certificate,
         candidates=tuple(
-            (cr, DIRECTIONS[cd], cm, tot)
+            (cr, DIRECTIONS[cd], cm, tot * D.unit)
             for cr, per_r in enumerate(totals.tolist())
             for cd, per_d in enumerate(per_r)
             for cm, tot in enumerate(per_d)

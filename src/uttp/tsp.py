@@ -4,13 +4,12 @@ minimum-weight perfect matchings, and the pivoted cycle the scheduler needs.
 All tie-breaks (DP, MST, matching, Euler traversal) resolve to the lowest
 vertex index so outputs are bit-for-bit reproducible.
 
-The exact DPs compare sums of distances and nothing else, so they run on an
-integer image of the induced submatrix (``_integer_image``): int64 input as
-it is, other input times the LCM of its denominators over the GCD of the
-results, in int64 whenever that fits. Scaling by a positive constant keeps
-every comparison, so rational files get the tours and tie-breaks of their
-integer twins, and Fraction arithmetic never runs inside a DP. Tours,
-lengths and weights are still read from ``DistanceMatrix.d``.
+The exact DPs compare sums of distances and nothing else, so they read
+the induced submatrix of ``DistanceMatrix.array``, the integer image made
+at load. Scaling by a positive constant keeps every comparison, so rational
+files get the tours and tie-breaks of their integer twins, and Fraction
+arithmetic never runs inside a DP. Tours, lengths and weights are read from
+``DistanceMatrix.d``.
 
 The Held-Karp table holds every vertex set that contains the start vertex,
 ``(k, 2^(k-1))`` cells, its columns sorted by set size. Each popcount layer
@@ -24,7 +23,6 @@ tours equal those of a per-mask DP. ``held_karp`` refuses more than
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -130,23 +128,6 @@ def held_karp(
     return Tour.from_vertices(D, _held_karp(D, verts))
 
 
-def _integer_image(a: np.ndarray) -> np.ndarray:
-    """A matrix of integers whose sums compare as those of ``a`` do. An
-    int64 ``a`` is returned as it is. An object array is scaled by the
-    positive factor that makes its entries coprime integers: times the LCM
-    of their denominators, over the GCD of the products. The image is int64
-    under the bound ``DistanceMatrix.array`` uses (``2 k^2`` times the
-    largest entry below 2^62), else Python ints in an object array."""
-    if a.dtype != object:
-        return a
-    scale = math.lcm(*(x.denominator for x in a.flat))
-    ints = [int(x * scale) for x in a.flat]
-    common = math.gcd(*ints) or 1
-    ints = [x // common for x in ints]
-    fits = 2 * len(a) ** 2 * max(ints, default=0) < 1 << 62
-    return np.array(ints, dtype=np.int64 if fits else object).reshape(a.shape)
-
-
 def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The subsets of range(bits) as bitmasks sorted by size, then value,
     and where each size starts: ``order[start[p]:start[p + 1]]`` are the
@@ -185,7 +166,7 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     tie-breaks are those of a per-mask DP over all k columns.
     """
     k = len(verts)
-    dist = _integer_image(D.array[np.ix_(verts, verts)])
+    dist = D.array[np.ix_(verts, verts)]
     order, start = _popcount_order(k - 1)
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
@@ -247,7 +228,7 @@ def _matching_dp(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, 
     member j, taking the first minimum over the members j in increasing
     order."""
     k = len(verts)
-    w = _integer_image(D.array[np.ix_(verts, verts)])
+    w = D.array[np.ix_(verts, verts)]
     bits = 1 << np.arange(k)
     best = np.zeros(1 << k, dtype=w.dtype)
     mate = np.zeros(1 << k, dtype=np.intp)

@@ -10,12 +10,29 @@ kept as they were so the rewrites can be held to identical output:
 checks), ``tuple_mirror_and_assign`` (the array-built base schedule) and
 ``per_labeling_scan`` (the shift-identity candidate scan). Two more,
 ``assumption_a_route`` and ``assumption_a_table``, are helpers only the
-tests read, moved here out of the package.
+tests read, moved here out of the package. ``coprime_big`` and
+``thirds_and_sevenths`` make the number formats several test modules load.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+
+def coprime_big(x):
+    """An entry past the int64 bound; such entries have no common factor, and
+    every path over the same number of edges gains the same offset."""
+    return (x << 58) + 1 if x else 0
+
+
+def thirds_and_sevenths(rows):
+    """An integer twin of ``rows`` (each entry times 3 or 7) and that twin
+    over 21: thirds, sevenths and integers, whose LCM 21 is more than any
+    single denominator."""
+    twin = [[x * (7 if (i + j) % 2 else 3) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    mixed = [[Fraction(x, 21) for x in row] for row in twin]
+    assert {Fraction(x).denominator for row in mixed for x in row} == {1, 3, 7}
+    return twin, mixed
 
 
 def route_walk(opp_rows, home_rows, mapping, dist):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from uttp import (
     validate_metric,
 )
 
-from independent import first_entry_fault, triple_loop_violations
+from independent import coprime_big, first_entry_fault, thirds_and_sevenths, triple_loop_violations
 
 
 def test_parse_smallest_symmetric():
@@ -48,14 +49,14 @@ def test_parse_fractional_tokens():
     D = parse_distance_matrix("0 1.5\n1.5 0")
     assert D.d[0][1] == Fraction(3, 2)
     assert all(type(x) is Fraction for row in D.d for x in row)
-    assert D.array.dtype == object
+    assert D.array.dtype == np.int64
 
 
 def test_parse_mixed_tokens_all_fractions():
     D = parse_distance_matrix("0 1.5 2\n1.5 0 1\n2 1 0")
     assert all(type(x) is Fraction for row in D.d for x in row)
     assert D.d[0][2] == 2
-    assert D.array.dtype == object
+    assert D.array.dtype == np.int64
 
 
 @pytest.mark.parametrize(
@@ -137,9 +138,35 @@ def test_fraction_round_trip():
     assert parse_distance_matrix(render_distance_matrix(D)) == D
 
 
-# The three numeric paths of DistanceMatrix.array: int64, Fractions, and ints
-# past the int64 bound (object dtype).
-KINDS = ("int64", "quarter", "scaled")
+def test_array_is_an_integer_image_of_d():
+    # d[i][j] == array[i, j] * unit, with unit of d's number type; the image
+    # is int64 unless its coprime entries are past the int64 bound
+    base = random_euclidean_instance(8, 3)
+    kinds = {
+        "int64": base.d,
+        "tenths": [[Fraction(x, 10) for x in row] for row in base.d],
+        "thirds_and_sevenths": thirds_and_sevenths(base.d)[1],
+        "scaled": [[x << 58 for x in row] for row in base.d],
+        "coprime_big": [[coprime_big(x) for x in row] for row in base.d],
+    }
+    for kind, rows in kinds.items():
+        D = DistanceMatrix.from_rows(rows)
+        assert D.array.dtype == (object if kind == "coprime_big" else np.int64), kind
+        assert type(D.unit) is (Fraction if kind in ("tenths", "thirds_and_sevenths") else int)
+        assert D.unit > 0
+        image = D.array.tolist()
+        assert [[x * D.unit for x in row] for row in image] == [list(row) for row in D.d], kind
+        assert [type(x * D.unit) for row in image for x in row] == [type(x) for row in D.d for x in row]
+        if kind != "int64":
+            assert math.gcd(*D.array.flat) == 1, kind
+    D = DistanceMatrix.from_rows(base.d)
+    assert D.unit == 1 and D.array.tolist() == [list(row) for row in base.d]
+
+
+# Three numeric formats of input: integers, Fractions, and integers past the
+# int64 bound; only the last, when its entries share no factor, leaves an
+# object-dtype image.
+KINDS = ("int64", "quarter", "scaled", "coprime")
 
 
 def _in_kind(rows, kind):
@@ -147,6 +174,8 @@ def _in_kind(rows, kind):
         return [[Fraction(x, 4) for x in row] for row in rows]
     if kind == "scaled":
         return [[x << 58 for x in row] for row in rows]
+    if kind == "coprime":
+        return [[coprime_big(x) for x in row] for row in rows]
     return rows
 
 
@@ -166,8 +195,8 @@ def symmetric_zero_diagonal(draw):
 @given(rows=symmetric_zero_diagonal(), kind=st.sampled_from(KINDS))
 def test_validate_metric_matches_triple_loop(rows, kind):
     D = DistanceMatrix.from_rows(_in_kind(rows, kind))
-    if any(map(any, rows)):
-        assert D.array.dtype == (np.int64 if kind == "int64" else object)
+    if kind != "coprime":  # coprime entries may still share a factor, e.g. when all equal
+        assert D.array.dtype == np.int64
     assert D.metric == (not triple_loop_violations(D.d, cap=len(rows) ** 3))
     for m in range(1, 26):
         got = [(v.i, v.j, v.k, v.deficit) for v in validate_metric(D, max_violations=m)]

@@ -25,9 +25,6 @@ from uttp import (
 )
 from uttp.schedule import Schedule
 from uttp.solver import (
-    DIRECTIONS,
-    _direction_totals,
-    _labelings,
     athome_table,
     candidate_totals,
     schedule_family,
@@ -37,6 +34,7 @@ from uttp.tsp import PivotedCycle
 from independent import (
     assumption_a_route,
     assumption_a_table,
+    coprime_big,
     mean,
     per_labeling_scan,
     route_walk,
@@ -154,7 +152,7 @@ def test_tables_match_rotated_walks(n, seed, rational, data):
     D = _instance(n, seed, rational)
     mapping = data.draw(st.permutations(range(n)))
     family = schedule_family(n)
-    home = athome_table(D, family, mapping).tolist()
+    home = (athome_table(D, family, mapping) * D.unit).tolist()
     rule_a = assumption_a_table(D, family, mapping).tolist()
     assert len(home) == len(rule_a) == 2 * n - 2
     for m in range(2 * n - 2):
@@ -184,45 +182,45 @@ def _symmetric(n, entries):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["int", "quarter", "scaled", "non-metric"]),
+    kind=st.sampled_from(["int", "quarter", "scaled", "coprime", "non-metric"]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_shift_recurrence_matches_per_labeling_scan(kind, seed, data):
-    # the whole (n-1, 2, 2n-2) table, both directions, value and type.
-    # Fraction arithmetic is some 40x slower than int, so quarter-unit
-    # matrices stop at n=14; the 2^58-scaled ones take the same object-dtype
-    # code up to n=40.
-    n = 2 * data.draw(st.integers(2, 7 if kind == "quarter" else 20), label="n/2")
+    # the whole (n-1, 2, 2n-2) table, both directions, value and type. Every
+    # kind but coprime loads as an int64 image; coprime integers past the
+    # int64 bound keep the object-dtype scan covered.
+    n = 2 * data.draw(st.integers(2, 20), label="n/2")
     if kind == "non-metric":
         entries = data.draw(st.lists(st.integers(0, 60), min_size=n * n, max_size=n * n))
         D = DistanceMatrix.from_rows(_symmetric(n, entries))
     else:
         base = random_euclidean_instance(n, seed)
-        scale = {"int": lambda x: x, "quarter": lambda x: Fraction(x, 4), "scaled": lambda x: x << 58}[kind]
+        scale = {
+            "int": lambda x: x,
+            "quarter": lambda x: Fraction(x, 4),
+            "scaled": lambda x: x << 58,
+            "coprime": coprime_big,
+        }[kind]
         D = DistanceMatrix.from_rows([[scale(x) for x in row] for row in base.d])
-    assert D.array.dtype == (np.int64 if kind in ("int", "non-metric") else object)
+    assert D.array.dtype == (object if kind == "coprime" else np.int64)
     order = data.draw(st.permutations(range(n)))
     cycle = PivotedCycle(order[-1], tuple(order[:-1]), 0, None, None)
     family = schedule_family(n)
     want = per_labeling_scan(D, family, cycle)
-    # candidate_totals sums all teams' legs up to STACKED_SCAN_MAX_N; the
-    # recurrence is checked at every n
-    shifted = np.stack(
-        [_direction_totals(D, family, _labelings(cycle, d), d) for d in DIRECTIONS], axis=1
-    )
-    for got in (candidate_totals(D, family, cycle).tolist(), shifted.tolist()):
-        assert got == want
-        assert [type(x) for x in np.ravel(np.array(got, dtype=object))] == [
-            type(x) for x in np.ravel(np.array(want, dtype=object))
-        ]
+    got = candidate_totals(D, family, cycle).tolist()
+    assert got == want
+    assert [type(x) for x in np.ravel(np.array(got, dtype=object))] == [
+        type(x) for x in np.ravel(np.array(want, dtype=object))
+    ]
 
 
 def _check_scaled_nl8(nl8, shift, mode):
     # sums of 2n^2 such entries overflow int64 (and at 2^58 so do the
-    # entries), so the scan and Held-Karp must switch to exact Python integers
+    # entries), but the GCD divides the shift out of the image, so every
+    # numeric step runs in int64 and the reports scale back by the unit
     big = DistanceMatrix.from_rows([[x << shift for x in row] for row in nl8.d])
-    assert big.array.dtype == object
+    assert big.array.dtype == np.int64 and big.unit % (1 << shift) == 0
     report, sched = solve(big, mode=mode)
     ref, ref_sched = solve(nl8, mode=mode)
     assert report.best_transform == ref.best_transform
@@ -241,6 +239,18 @@ def test_scaled_nl8_is_exact_past_int64(nl8, shift):
 @pytest.mark.parametrize("shift", [50, 58])
 def test_scaled_nl8_exact_mode_past_int64(nl8, shift):
     _check_scaled_nl8(nl8, shift, "exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "christofides"])
+def test_coprime_big_nl8_solves_on_an_object_image(nl8, mode):
+    # entries past the int64 bound with no common factor: the scan, the DPs
+    # and the certificate run on Python ints, and the re-walk on D.d agrees
+    D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in nl8.d])
+    assert D.array.dtype == object and D.unit == 1
+    report, sched = solve(D, mode=mode, keep_candidates=True)
+    assert evaluate_athome(sched, identity(8), D)[1] == report.total_distance
+    assert report.certificate.all_ok
+    assert min(total for *_, total in report.candidates) == report.total_distance
 
 
 # --- first/last-slot travel rule ---
@@ -477,7 +487,7 @@ def test_solve_fraction_matrix_end_to_end():
     rows = [[Fraction(x, 4) for x in row] for row in base.d]
     D = DistanceMatrix.from_rows(rows)
     assert all(type(x) is Fraction for row in D.d for x in row)
-    assert D.array.dtype == object
+    assert D.array.dtype == np.int64 and type(D.unit) is Fraction
     report, sched = solve(D)
     scaled_report, _ = solve(base)
     assert report.total_distance == Fraction(scaled_report.total_distance, 4)

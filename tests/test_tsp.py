@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,18 +22,17 @@ from uttp.tsp import (
     HELD_KARP_CAP,
     MATCHING_EXACT_MAX,
     Tour,
-    _integer_image,
     _matching_greedy_swap,
     cycle_length,
 )
 
-from independent import all_cycles_min, per_mask_held_karp, per_mask_matching_dp
-
-
-def coprime_big(x):
-    """An entry past the int64 bound; such entries have no common factor, and
-    every path over the same number of edges gains the same offset."""
-    return (x << 58) + 1 if x else 0
+from independent import (
+    all_cycles_min,
+    coprime_big,
+    per_mask_held_karp,
+    per_mask_matching_dp,
+    thirds_and_sevenths,
+)
 
 
 def uniform_matrix(n, c):
@@ -127,13 +125,13 @@ def test_held_karp_cap_cannot_be_raised(monkeypatch):
 )
 def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
     D = random_euclidean_instance(k + extra, seed, box=box)
-    if numbers == "quarter":  # rational twin: an object array of Fractions
+    if numbers == "quarter":  # rational twin: an int64 image
         D = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
-    elif numbers == "scaled":  # past the int64 bound: an object array of ints
+    elif numbers == "scaled":  # past the int64 bound until the GCD divides the shift out
         D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
     elif numbers == "coprime":  # no common factor: the DP itself runs on Python ints
         D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
-    assert (D.array.dtype == object) == (numbers != "int64")
+    assert (D.array.dtype == object) == (numbers == "coprime")
     verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
     tour = held_karp(D, vertex_set=verts)
     oracle = Tour.from_vertices(D, per_mask_held_karp(D, verts))
@@ -153,38 +151,11 @@ def test_held_karp_matches_per_mask_oracle_past_the_property_sizes(k):
     assert twin.vertices == oracle.vertices and twin.length == Fraction(oracle.length, 4)
 
 
-def thirds_and_sevenths(D):
-    """An integer twin of D (each entry times 3 or 7) and that twin over 21:
-    thirds, sevenths and integers, whose LCM 21 is more than any single
-    denominator."""
-    twin = DistanceMatrix.from_rows(
-        [[x * (7 if (i + j) % 2 else 3) for j, x in enumerate(row)] for i, row in enumerate(D.d)]
-    )
-    mixed = DistanceMatrix.from_rows([[Fraction(x, 21) for x in row] for row in twin.d])
-    assert {x.denominator for row in mixed.d for x in row} == {1, 3, 7}
-    return twin, mixed
-
-
 def test_mixed_denominators_take_the_tour_of_their_integer_twin():
-    twin, D = thirds_and_sevenths(random_euclidean_instance(12, 5, box=20.0))
+    rows = random_euclidean_instance(12, 5, box=20.0).d
+    twin, D = map(DistanceMatrix.from_rows, thirds_and_sevenths(rows))
     assert held_karp(D).vertices == held_karp(twin).vertices
     assert held_karp(D).length == Fraction(held_karp(twin).length, 21)
-
-
-def test_integer_image():
-    D = random_euclidean_instance(8, 3)
-    tenths = DistanceMatrix.from_rows([[Fraction(x, 10) for x in row] for row in D.d])
-    scaled = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
-    twin, mixed = thirds_and_sevenths(D)
-    big = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
-    assert _integer_image(D.array) is D.array
-    # object arrays whose image is their integer twin over its GCD, in int64
-    for M, ints in ((tenths, D), (scaled, D), (mixed, twin)):
-        image = _integer_image(M.array)
-        assert M.array.dtype == object and image.dtype == np.int64
-        assert (image == ints.array // math.gcd(*ints.array.flat)).all()
-    assert _integer_image(big.array).dtype == object
-    assert (_integer_image(big.array) == big.array).all()
 
 
 def test_held_karp_fraction_matrix():
