@@ -128,7 +128,7 @@ def _emit_report(report, sched, fmt: str, dump_candidates: bool) -> None:
     if fmt == "json":
         doc = {k: _num(v) for k, v in pairs}
         doc["per_team_distances"] = [_num(x) for x in report.per_team_distances]
-        doc["gap_percent"] = None if report.gap_percent is None else float(report.gap_percent)
+        doc["gap_percent"] = _num(report.gap_percent)  # the number, not its rendering
         if report.certificate is not None:
             doc["certificate"] = {
                 c.name: {"ok": c.ok, "lhs": _num(c.lhs), "rhs": _num(c.rhs)}
@@ -299,6 +299,7 @@ def cmd_oracle(args) -> int:
     res = exact_uttp(D)
     tau = held_karp(D).length
     bound = lower_bound(D, tau)
+    gap = gap_percent(res.optimum, bound)
     per_team, total = evaluate_athome(res.schedule, tuple(range(D.n)), D)
     if total != res.optimum:
         raise CliError(EXIT_CERTIFICATE_FAILURE, "oracle schedule does not attain its optimum")
@@ -307,12 +308,13 @@ def cmd_oracle(args) -> int:
         ("total_distance", res.optimum),
         ("tau", tau),
         ("lower_bound", bound),
-        ("gap_percent", render_gap(gap_percent(res.optimum, bound))),
+        ("gap_percent", render_gap(gap)),
         ("tsp_mode", "oracle"),
         ("explored_nodes", res.explored),
     ]
     if args.format == "json":
         doc = {k: _num(v) for k, v in pairs}
+        doc["gap_percent"] = _num(gap)
         doc["per_team_distances"] = [_num(x) for x in per_team]
         doc["schedule_rows"] = render_schedule(res.schedule, "rows").splitlines()
         print(json.dumps(doc, indent=2))

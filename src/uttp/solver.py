@@ -236,9 +236,11 @@ def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCy
     L = 2 * n - 2
     venues = np.stack([_labelings(cycle, d) for d in DIRECTIONS], axis=1)  # [r, direction, team]
     # forward labelings add the rows of the first team set and drop those of
-    # the second; reversed labelings swap the sets
-    cut, back = _legs(D, family, venues, np.array([[half - 1, n - 2, n - 1], [0, half, n - 1]]))
-    rows = _splice(cut.sum(axis=-2), back.sum(axis=-2))  # [r, direction, team set, m]
+    # the second; reversed labelings swap the sets. The splice is linear, so
+    # a set's rows are summed one team of each set at a time, which keeps a
+    # single team's legs in memory.
+    sets = np.array([[half - 1, n - 2, n - 1], [0, half, n - 1]])
+    rows = sum(_splice(*_legs(D, family, venues, sets[:, p])) for p in range(3))  # [r, direction, team set, m]
     added, dropped = rows[:, [0, 1], [0, 1]], rows[:, [0, 1], [1, 0]]
     # Labeling r at rotation m sits at base column c = m + step*r (step 2
     # forward, -2 reversed), where it equals labeling r-1's total at that

@@ -4,12 +4,14 @@ minimum-weight perfect matchings, and the pivoted cycle the scheduler needs.
 All tie-breaks (DP, MST, matching, Euler traversal) resolve to the lowest
 vertex index so outputs are bit-for-bit reproducible.
 
-The exact DPs compare sums of distances and nothing else, so they read
-the induced submatrix of ``DistanceMatrix.array``, the integer image made
-at load. Scaling by a positive constant keeps every comparison, so rational
-files get the tours and tie-breaks of their integer twins, and Fraction
-arithmetic never runs inside a DP. Tours, lengths and weights are read from
-``DistanceMatrix.d``.
+Held-Karp, the MST and both matchings compare sums of distances and
+nothing else, so they take the induced submatrix of
+``DistanceMatrix.array``, the integer image made at load, and work on its
+indices. The vertex set is sorted, so index order is vertex order and every
+tie-break carries over. Scaling by a positive constant keeps every
+comparison, so rational files get the tours and tie-breaks of their integer
+twins, and Fraction arithmetic never runs inside them. Tour lengths and
+matching weights are read from ``DistanceMatrix.d``.
 
 The Held-Karp table holds every vertex set that contains the start vertex,
 ``(k, 2^(k-1))`` cells, its columns sorted by set size. Each popcount layer
@@ -23,7 +25,9 @@ tours equal those of a per-mask DP. ``held_karp`` refuses more than
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -215,20 +219,18 @@ def min_weight_perfect_matching(
     verts = _check_vertex_set(D, odd_set)
     if len(verts) % 2 != 0:
         raise TspError(f"matching needs an even vertex count, got {len(verts)}")
-    if len(verts) <= MATCHING_EXACT_MAX:
-        pairs, weight = _matching_dp(D, verts)
-        return Matching(pairs=pairs, weight=weight, exact=True)
-    pairs, weight = _matching_greedy_swap(D, verts)
-    return Matching(pairs=pairs, weight=weight, exact=False)
+    exact = len(verts) <= MATCHING_EXACT_MAX
+    match = _matching_dp if exact else _matching_greedy_swap
+    pairs = tuple((verts[i], verts[j]) for i, j in match(D.array[np.ix_(verts, verts)]))
+    return Matching(pairs=pairs, weight=sum(D.d[a][b] for a, b in pairs), exact=exact)
 
 
-def _matching_dp(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, int], ...], Number]:
-    """Subset DP on the integer image of the induced submatrix, one popcount
-    layer at a time: each even set's lowest member i pairs with another
-    member j, taking the first minimum over the members j in increasing
-    order."""
-    k = len(verts)
-    w = D.array[np.ix_(verts, verts)]
+def _matching_dp(w: np.ndarray) -> list[tuple[int, int]]:
+    """Subset DP on the weights ``w``, one popcount layer at a time: each
+    even set's lowest member i pairs with another member j, taking the first
+    minimum over the members j in increasing order. Returns sorted index
+    pairs."""
+    k = len(w)
     bits = 1 << np.arange(k)
     best = np.zeros(1 << k, dtype=w.dtype)
     mate = np.zeros(1 << k, dtype=np.intp)
@@ -251,27 +253,24 @@ def _matching_dp(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, 
     mask = (1 << k) - 1
     while mask:
         i, j = (mask & -mask).bit_length() - 1, int(mate[mask])
-        pairs.append((verts[i], verts[j]))
+        pairs.append((i, j))
         mask ^= (1 << i) | (1 << j)
-    pairs.sort()
-    return tuple(pairs), sum(D.d[a][b] for a, b in pairs)
+    return sorted(pairs)
 
 
-def _matching_greedy_swap(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tuple[int, int], ...], Number]:
-    d = D.d
-    unmatched = set(verts)
+def _matching_greedy_swap(w: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy on the weights ``w``: the pairs i < j in order of (weight, i,
+    j), each taken while both ends are free; then pairwise swaps while one
+    shortens the matching. Returns sorted index pairs."""
+    upper = np.triu_indices(len(w), 1)  # row-major: a stable sort keeps (i, j) order on ties
+    by_weight = np.argsort(w[upper], kind="stable")
+    free = [True] * len(w)
     pairs: list[tuple[int, int]] = []
-    while unmatched:
-        best = None
-        for a in sorted(unmatched):
-            for b in sorted(unmatched):
-                if b <= a:
-                    continue
-                if best is None or d[a][b] < d[best[0]][best[1]]:
-                    best = (a, b)
-        pairs.append(best)  # type: ignore[arg-type]
-        unmatched.discard(best[0])  # type: ignore[index]
-        unmatched.discard(best[1])  # type: ignore[index]
+    for i, j in zip(upper[0][by_weight].tolist(), upper[1][by_weight].tolist()):
+        if free[i] and free[j]:
+            free[i] = free[j] = False
+            pairs.append((i, j))
+    d = w.tolist()
     improved = True
     while improved:
         improved = False
@@ -288,27 +287,23 @@ def _matching_greedy_swap(D: DistanceMatrix, verts: list[int]) -> tuple[tuple[tu
                 elif alt2 < cur:
                     pairs[x], pairs[y] = tuple(sorted((a, e))), tuple(sorted((b, c)))
                     improved = True
-    pairs.sort()
-    weight = sum(d[a][b] for a, b in pairs)
-    return tuple(pairs), weight
+    return sorted(pairs)
 
 
-def _prim_mst(D: DistanceMatrix, verts: list[int]) -> list[tuple[int, int]]:
-    """MST edges on the induced subgraph; equal keys keep the earlier vertex."""
-    d = D.d
-    in_tree = {verts[0]}
+def _prim_mst(w: np.ndarray) -> list[tuple[int, int]]:
+    """MST edges (i, j), i < j, on the weights ``w``, grown from index 0.
+    The lowest index of equal keys joins first, and an equal key keeps the
+    vertex it was first attached to."""
+    d = w.tolist()
+    key, attach, rest = d[0][:], [0] * len(d), list(range(1, len(d)))
     edges: list[tuple[int, int]] = []
-    key: dict[int, tuple[Number, int]] = {
-        v: (d[verts[0]][v], verts[0]) for v in verts[1:]
-    }
-    while key:
-        v = min(key, key=lambda u: (key[u][0], u))
-        w, attach = key.pop(v)
-        edges.append((min(attach, v), max(attach, v)))
-        in_tree.add(v)
-        for u in key:
-            if d[v][u] < key[u][0]:
-                key[u] = (d[v][u], v)
+    while rest:
+        v = min(rest, key=key.__getitem__)  # rest is increasing: the first minimum
+        rest.remove(v)
+        edges.append((min(attach[v], v), max(attach[v], v)))
+        for u in rest:
+            if d[v][u] < key[u]:
+                key[u], attach[u] = d[v][u], v
     return edges
 
 
@@ -348,26 +343,16 @@ def christofides(
     verts = _check_vertex_set(D, vertex_set)
     if len(verts) < 3:
         raise TspError(f"need at least 3 vertices, got {len(verts)}")
-    mst = _prim_mst(D, verts)
-    degree = {v: 0 for v in verts}
-    for a, b in mst:
-        degree[a] += 1
-        degree[b] += 1
-    odd = [v for v in verts if degree[v] % 2 == 1]
-    matching = min_weight_perfect_matching(D, odd)
+    mst = [(verts[i], verts[j]) for i, j in _prim_mst(D.array[np.ix_(verts, verts)])]
+    degree = Counter(chain.from_iterable(mst))
+    matching = min_weight_perfect_matching(D, [v for v in verts if degree[v] % 2])
     adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in list(mst) + list(matching.pairs):
+    for a, b in mst + list(matching.pairs):
         adj[a].append(b)
         adj[b].append(a)
-    circuit = _euler_circuit(adj, verts[0])
-    seen = set()
-    order = []
-    for v in circuit:
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
+    order = dict.fromkeys(_euler_circuit(adj, verts[0]))  # first visits, in order
     return ChristofidesResult(
-        tour=Tour.from_vertices(D, order), matching_exact=matching.exact
+        tour=Tour.from_vertices(D, list(order)), matching_exact=matching.exact
     )
 
 

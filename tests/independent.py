@@ -6,6 +6,8 @@ exceptions are the package's earlier versions of code it has since rewritten,
 kept as they were so the rewrites can be held to identical output:
 ``per_mask_held_karp`` (tie-breaks of the layer-wise DP),
 ``per_mask_matching_dp`` (tie-breaks of the layer-wise matching DP),
+``dict_prim_mst`` and ``rescan_greedy_swap`` (tie-breaks of the MST and the
+greedy matching on the integer image),
 ``triple_loop_violations`` and ``first_entry_fault`` (the vectorized load
 checks), ``tuple_mirror_and_assign`` (the array-built base schedule) and
 ``per_labeling_scan`` (the shift-identity candidate scan). Two more,
@@ -238,6 +240,64 @@ def per_mask_matching_dp(D, verts):
         mask ^= (1 << i) | (1 << j)
     pairs.sort()
     return tuple(pairs), best[full]
+
+
+def dict_prim_mst(D, verts):
+    """The package's earlier MST over ``D.d``, keys in a dict; equal keys
+    keep the earlier vertex. Kept unchanged as the tie-break oracle for the
+    one on the integer image."""
+    d = D.d
+    in_tree = {verts[0]}
+    edges = []
+    key = {v: (d[verts[0]][v], verts[0]) for v in verts[1:]}
+    while key:
+        v = min(key, key=lambda u: (key[u][0], u))
+        w, attach = key.pop(v)
+        edges.append((min(attach, v), max(attach, v)))
+        in_tree.add(v)
+        for u in key:
+            if d[v][u] < key[u][0]:
+                key[u] = (d[v][u], v)
+    return edges
+
+
+def rescan_greedy_swap(D, verts):
+    """The package's earlier greedy matching over ``D.d``: each pick rescans
+    every unmatched pair for the first minimum, then pairwise swaps run while
+    one shortens the matching. Returns (sorted pairs, weight). Kept unchanged
+    as the tie-break oracle for the one-pass greedy on the integer image."""
+    d = D.d
+    unmatched = set(verts)
+    pairs = []
+    while unmatched:
+        best = None
+        for a in sorted(unmatched):
+            for b in sorted(unmatched):
+                if b <= a:
+                    continue
+                if best is None or d[a][b] < d[best[0]][best[1]]:
+                    best = (a, b)
+        pairs.append(best)
+        unmatched.discard(best[0])
+        unmatched.discard(best[1])
+    improved = True
+    while improved:
+        improved = False
+        for x in range(len(pairs)):
+            for y in range(x + 1, len(pairs)):
+                a, b = pairs[x]
+                c, e = pairs[y]
+                cur = d[a][b] + d[c][e]
+                alt1 = d[a][c] + d[b][e]
+                alt2 = d[a][e] + d[b][c]
+                if alt1 < cur and alt1 <= alt2:
+                    pairs[x], pairs[y] = tuple(sorted((a, c))), tuple(sorted((b, e)))
+                    improved = True
+                elif alt2 < cur:
+                    pairs[x], pairs[y] = tuple(sorted((a, e))), tuple(sorted((b, c)))
+                    improved = True
+    pairs.sort()
+    return tuple(pairs), sum(d[a][b] for a, b in pairs)
 
 
 def per_labeling_scan(D, family, cycle):

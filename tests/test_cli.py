@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,19 @@ def test_oracle_cli_json_rational(tmp_path, capsys):
     assert doc["tau"] == 6.5
     assert doc["lower_bound"] == 26.0
     assert sum(doc["per_team_distances"]) == doc["total_distance"]
+
+
+def test_oracle_and_solve_json_gap_is_the_same_number(capsys):
+    docs = []
+    for command in ("oracle", "solve"):
+        code, out, _ = run_cli(capsys, command, str(INSTANCES / "nl4.txt"), "--format", "json")
+        assert code == 0
+        docs.append(json.loads(out))
+    oracle, solve = docs
+    assert type(oracle["gap_percent"]) is float
+    assert oracle["gap_percent"] == solve["gap_percent"] == float(Fraction(8276 - 8044, 8044) * 100)
+    for doc in docs:
+        assert (doc["total_distance"], doc["lower_bound"]) == (8276, 8044)
 
 
 def test_oracle_cli_rejects_big(capsys):

@@ -23,14 +23,17 @@ from uttp.tsp import (
     MATCHING_EXACT_MAX,
     Tour,
     _matching_greedy_swap,
+    _prim_mst,
     cycle_length,
 )
 
 from independent import (
     all_cycles_min,
     coprime_big,
+    dict_prim_mst,
     per_mask_held_karp,
     per_mask_matching_dp,
+    rescan_greedy_swap,
     thirds_and_sevenths,
 )
 
@@ -234,8 +237,57 @@ def test_matching_greedy_never_beats_dp(seed):
     D = random_euclidean_instance(10, seed)
     exact = min_weight_perfect_matching(D, range(10))
     assert exact.exact
-    assert _matching_greedy_swap(D, list(range(10)))[1] >= exact.weight
+    assert sum(D.d[a][b] for a, b in _matching_greedy_swap(D.array)) >= exact.weight
     assert min_weight_perfect_matching(random_euclidean_instance(18, seed), range(18)).exact is False
+
+
+def image_twin(D, numbers):
+    """D itself, its one-decimal twin (an int64 image) or its coprime_big
+    twin (an object image); each orders single edges, and sums over equally
+    many edges, as D does."""
+    if numbers == "tenths":
+        return DistanceMatrix.from_rows([[Fraction(x, 10) for x in row] for row in D.d])
+    if numbers == "coprime":
+        return DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
+    return D
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.integers(1, 30),
+    extra=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    box=st.sampled_from([5.0, 1000.0]),  # nearly every weight ties at 5
+    numbers=st.sampled_from(["int64", "tenths", "coprime"]),
+    data=st.data(),
+)
+def test_mst_and_greedy_matching_match_their_oracles(half, extra, seed, box, numbers, data):
+    k = 2 * half
+    D = image_twin(random_euclidean_instance(k + extra, seed, box=box), numbers)
+    # a few coprime entries can share a factor, which the image divides out
+    assert numbers == "coprime" or D.array.dtype == np.int64
+    verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
+    w = D.array[np.ix_(verts, verts)]
+    assert [(verts[i], verts[j]) for i, j in _prim_mst(w)] == dict_prim_mst(D, verts)
+    pairs = tuple((verts[i], verts[j]) for i, j in _matching_greedy_swap(w))
+    assert (pairs, sum(D.d[a][b] for a, b in pairs)) == rescan_greedy_swap(D, verts)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [40, 50, 60])
+def test_christofides_twins_take_the_integer_tour(n, seed):
+    # past 16 odd MST vertices, so the greedy matching runs on the rational
+    # twin's int64 image and on the coprime twin's object image
+    D = random_euclidean_instance(n, seed)
+    res = christofides(D)
+    assert not res.matching_exact
+    T, C = image_twin(D, "tenths"), image_twin(D, "coprime")
+    assert T.array.dtype == np.int64 and C.array.dtype == object
+    tenths, coprime = christofides(T), christofides(C)
+    assert tenths.tour.vertices == coprime.tour.vertices == res.tour.vertices
+    assert tenths.tour.length == Fraction(res.tour.length, 10)
+    assert coprime.tour.length == (res.tour.length << 58) + n
+    assert not tenths.matching_exact and not coprime.matching_exact
 
 
 # --- christofides ---
