@@ -1,6 +1,10 @@
 """Command-line front end: solve instances, validate schedules, run the
 benchmark table, query the exhaustive 4-team oracle, generate test data.
 
+``_emit_report`` prints the reports of ``solve`` and ``oracle`` in text,
+csv and json: ordered key/value pairs (``_report_pairs`` for a solve), the
+per-team travel, the certificate and candidates when present, the schedule.
+
 Exit codes: 0 ok; 2 invalid input (instance, tour, option value, or an
 unreadable or unwritable path); 3 infeasible schedule; 4 internal
 certificate failure. ``main`` maps each library exception type to its
@@ -123,21 +127,23 @@ def _report_pairs(report) -> list[tuple[str, object]]:
     ]
 
 
-def _emit_report(report, sched, fmt: str, dump_candidates: bool) -> None:
-    pairs = _report_pairs(report)
+def _emit_report(pairs, gap, per_team, sched, fmt: str, certificate=None, candidates=None) -> None:
+    """Print a ``solve`` or ``oracle`` report in ``fmt``: ``pairs`` in order
+    (``gap_percent`` rendered; JSON prints the exact ``gap`` as a number), the
+    per-team travel, the certificate and candidates when given, the schedule."""
     if fmt == "json":
         doc = {k: _num(v) for k, v in pairs}
-        doc["per_team_distances"] = [_num(x) for x in report.per_team_distances]
-        doc["gap_percent"] = _num(report.gap_percent)  # the number, not its rendering
-        if report.certificate is not None:
+        doc["per_team_distances"] = [_num(x) for x in per_team]
+        doc["gap_percent"] = _num(gap)  # the number, not its rendering
+        if certificate is not None:
             doc["certificate"] = {
                 c.name: {"ok": c.ok, "lhs": _num(c.lhs), "rhs": _num(c.rhs)}
-                for c in report.certificate.checks
+                for c in certificate.checks
             }
-        if dump_candidates and report.candidates is not None:
+        if candidates is not None:
             doc["candidates"] = [
                 {"r": r, "direction": d, "m": m, "total": _num(tot)}
-                for r, d, m, tot in report.candidates
+                for r, d, m, tot in candidates
             ]
         doc["schedule_rows"] = render_schedule(sched, "rows").splitlines()
         print(json.dumps(doc, indent=2))
@@ -145,20 +151,20 @@ def _emit_report(report, sched, fmt: str, dump_candidates: bool) -> None:
     if fmt == "csv":
         print(",".join(k for k, _ in pairs))
         print(",".join("" if v is None else str(v) for _, v in pairs))
-        if dump_candidates and report.candidates is not None:
+        if candidates is not None:
             print("r,direction,m,total")
-            for r, d, m, tot in report.candidates:
+            for r, d, m, tot in candidates:
                 print(f"{r},{d},{m},{tot}")
         return
     for k, v in pairs:
         print(f"{k}: {'n/a' if v is None else v}")
-    print("per_team_distances: " + " ".join(str(x) for x in report.per_team_distances))
-    if report.certificate is not None:
-        for c in report.certificate.checks:
+    print("per_team_distances: " + " ".join(str(x) for x in per_team))
+    if certificate is not None:
+        for c in certificate.checks:
             print(f"certificate.{c.name}: {'ok' if c.ok else 'VIOLATED'} (slack {_num(c.slack)})")
-    if dump_candidates and report.candidates is not None:
+    if candidates is not None:
         print("candidates (r direction m total):")
-        for r, d, m, tot in report.candidates:
+        for r, d, m, tot in candidates:
             print(f"  {r} {d} {m} {tot}")
     print()
     print(render_schedule(sched, "grid"), end="")
@@ -184,7 +190,15 @@ def cmd_solve(args) -> int:
     )
     if args.schedule_out:
         Path(args.schedule_out).write_text(render_schedule(sched, "rows"))
-    _emit_report(report, sched, args.format, args.dump_candidates)
+    _emit_report(
+        _report_pairs(report),
+        report.gap_percent,
+        report.per_team_distances,
+        sched,
+        args.format,
+        report.certificate,
+        report.candidates,
+    )
     if report.metric and report.certificate is not None and not report.certificate.all_ok:
         bad = [c.name for c in report.certificate.checks if not c.ok]
         print(f"certificate failure on metric input: {bad}", file=sys.stderr)
@@ -312,21 +326,7 @@ def cmd_oracle(args) -> int:
         ("tsp_mode", "oracle"),
         ("explored_nodes", res.explored),
     ]
-    if args.format == "json":
-        doc = {k: _num(v) for k, v in pairs}
-        doc["gap_percent"] = _num(gap)
-        doc["per_team_distances"] = [_num(x) for x in per_team]
-        doc["schedule_rows"] = render_schedule(res.schedule, "rows").splitlines()
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print(",".join(k for k, _ in pairs))
-        print(",".join(str(v) for _, v in pairs))
-    else:
-        for k, v in pairs:
-            print(f"{k}: {v}")
-        print("per_team_distances: " + " ".join(str(x) for x in per_team))
-        print()
-        print(render_schedule(res.schedule, "grid"), end="")
+    _emit_report(pairs, gap, per_team, res.schedule, args.format)
     return EXIT_OK
 
 

@@ -135,7 +135,22 @@ def test_generated_matrix_invariants(n, seed):
 def test_fraction_round_trip():
     rows = [[0, Fraction(1, 3), 1], [Fraction(1, 3), 0, Fraction(5, 4)], [1, Fraction(5, 4), 0]]
     D = DistanceMatrix.from_rows(rows)
+    # mixed ints and Fractions come out as Fractions throughout
+    assert D.d == tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert all(type(x) is Fraction for row in D.d for x in row)
     assert parse_distance_matrix(render_distance_matrix(D)) == D
+
+
+def test_load_one_decimal_file():
+    base = random_euclidean_instance(12, 5)
+    text = "".join(" ".join(f"{x // 10}.{x % 10}" for x in row) + "\n" for row in base.d)
+    D = parse_distance_matrix(text)
+    assert D.d == tuple(tuple(Fraction(x, 10) for x in row) for row in base.d)
+    assert all(type(x) is Fraction for row in D.d for x in row)
+    g = math.gcd(*base.array.flat)
+    assert D.array.dtype == np.int64
+    assert D.array.tolist() == (base.array // g).tolist()
+    assert type(D.unit) is Fraction and D.unit == Fraction(g, 10)
 
 
 def test_array_is_an_integer_image_of_d():
