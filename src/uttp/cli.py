@@ -1,9 +1,7 @@
 """Command-line front end: solve instances, validate schedules, run the
 benchmark table, query the exhaustive 4-team oracle, generate test data.
 
-``_emit_report`` prints the reports of ``solve`` and ``oracle`` in text,
-csv and json: ordered key/value pairs (``_report_pairs`` for a solve), the
-per-team travel, the certificate and candidates when present, the schedule.
+``_emit_report`` prints every ``solve`` and ``oracle`` report, in each format.
 
 Exit codes: 0 ok; 2 invalid input (instance, tour, option value, or an
 unreadable or unwritable path); 3 infeasible schedule; 4 internal

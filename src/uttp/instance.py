@@ -67,8 +67,7 @@ class DistanceMatrix:
         d = tuple(tuple(row) for row in rows)
         integral = all(issubclass(t, int) for t in set(map(type, chain.from_iterable(d))))
         if not integral:
-            # one number type per matrix: a sum of entries has one type too;
-            # a parsed rational file holds Fractions already
+            # one number type per matrix: a sum of entries has one type too
             d = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in d)
         n = len(d)
         if n < 1 or any(len(row) != n for row in d):
