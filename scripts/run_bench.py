@@ -2,11 +2,12 @@
 """Reproduce the benchmark table from the vendored instance files.
 
 Usage:
-    python scripts/run_bench.py [--tsp exact|christofides] [--format text|csv]
+    python scripts/run_bench.py [--tsp exact|christofides] [--format text|csv] [--tours DIR]
 
 Extra instance files dropped into instances/ (nl10.txt, galaxy4.txt, ...)
-are picked up automatically; sizes beyond the exact-tour cap get skipped
-rows unless matching .tour files are supplied via --tours.
+are picked up automatically. In exact mode, sizes past 20 venues (the
+Held-Karp cap) get skipped rows unless DIR holds a matching
+<family><n>.tour file, which is then trusted as a shortest cycle.
 """
 
 import sys

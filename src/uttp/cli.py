@@ -87,22 +87,19 @@ def _parse_tsp_mode(value: str) -> tuple[str, str | None]:
     )
 
 
-def _hk_cap(value: str) -> int:
-    """``--hk-cap`` at parse time: an int no larger than ``HELD_KARP_CAP``,
-    whose DP table is the largest the solver will allocate."""
+def _num(x, key: str):
+    """A Fraction as the float it prints as; CliError past the float range."""
+    if not isinstance(x, Fraction):
+        return x
     try:
-        cap = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if cap > HELD_KARP_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {HELD_KARP_CAP}, got {cap}")
-    return cap
-
-
-def _num(x):
-    if isinstance(x, Fraction):
         return float(x)
-    return x
+    except OverflowError:
+        about = f"{key} is about 10^{len(str(int(abs(x)))) - 1}"
+        raise CliError(EXIT_INVALID_INSTANCE, f"{about}, past the float range") from None
+
+
+def _gap(gap) -> str:
+    return render_gap(_num(gap, "gap_percent"))
 
 
 def _report_pairs(report) -> list[tuple[str, object]]:
@@ -113,7 +110,7 @@ def _report_pairs(report) -> list[tuple[str, object]]:
         ("tau", report.tau),
         ("tau_prime", report.tau_prime),
         ("lower_bound", report.lower_bound),
-        ("gap_percent", render_gap(report.gap_percent)),
+        ("gap_percent", _gap(report.gap_percent)),
         ("tsp_mode", report.tsp_mode),
         ("matching_exact", report.matching_exact),
         ("best_r", t.cycle_rotation),
@@ -121,26 +118,32 @@ def _report_pairs(report) -> list[tuple[str, object]]:
         ("best_m", t.slot_rotation),
         ("metric", report.metric),
         ("guarantees_valid", report.guarantees_valid),
-        ("ratio_bound", _num(report.ratio_bound)),
+        ("ratio_bound", _num(report.ratio_bound, "ratio_bound")),
     ]
 
 
 def _emit_report(pairs, gap, per_team, sched, fmt: str, certificate=None, candidates=None) -> None:
     """Print a ``solve`` or ``oracle`` report in ``fmt``: ``pairs`` in order
     (``gap_percent`` rendered; JSON prints the exact ``gap`` as a number), the
-    per-team travel, the certificate and candidates when given, the schedule."""
+    per-team travel, the certificate and candidates when given, the schedule.
+    Every value is converted before the first line is printed, so a value
+    past the float range raises ``CliError`` with nothing on stdout."""
     if fmt == "json":
-        doc = {k: _num(v) for k, v in pairs}
-        doc["per_team_distances"] = [_num(x) for x in per_team]
-        doc["gap_percent"] = _num(gap)  # the number, not its rendering
+        doc = {k: _num(v, k) for k, v in pairs}
+        doc["per_team_distances"] = [_num(x, "per_team_distances") for x in per_team]
+        doc["gap_percent"] = _num(gap, "gap_percent")  # the number, not its rendering
         if certificate is not None:
             doc["certificate"] = {
-                c.name: {"ok": c.ok, "lhs": _num(c.lhs), "rhs": _num(c.rhs)}
+                c.name: {
+                    "ok": c.ok,
+                    "lhs": _num(c.lhs, f"certificate.{c.name}"),
+                    "rhs": _num(c.rhs, f"certificate.{c.name}"),
+                }
                 for c in certificate.checks
             }
         if candidates is not None:
             doc["candidates"] = [
-                {"r": r, "direction": d, "m": m, "total": _num(tot)}
+                {"r": r, "direction": d, "m": m, "total": _num(tot, "candidates")}
                 for r, d, m, tot in candidates
             ]
         doc["schedule_rows"] = render_schedule(sched, "rows").splitlines()
@@ -154,17 +157,18 @@ def _emit_report(pairs, gap, per_team, sched, fmt: str, certificate=None, candid
             for r, d, m, tot in candidates:
                 print(f"{r},{d},{m},{tot}")
         return
-    for k, v in pairs:
-        print(f"{k}: {'n/a' if v is None else v}")
-    print("per_team_distances: " + " ".join(str(x) for x in per_team))
+    lines = [f"{k}: {'n/a' if v is None else v}" for k, v in pairs]
+    lines.append("per_team_distances: " + " ".join(str(x) for x in per_team))
     if certificate is not None:
-        for c in certificate.checks:
-            print(f"certificate.{c.name}: {'ok' if c.ok else 'VIOLATED'} (slack {_num(c.slack)})")
+        lines += [
+            f"certificate.{c.name}: {'ok' if c.ok else 'VIOLATED'} "
+            f"(slack {_num(c.slack, f'certificate.{c.name}')})"
+            for c in certificate.checks
+        ]
     if candidates is not None:
-        print("candidates (r direction m total):")
-        for r, d, m, tot in candidates:
-            print(f"  {r} {d} {m} {tot}")
-    print()
+        lines.append("candidates (r direction m total):")
+        lines += [f"  {r} {d} {m} {tot}" for r, d, m, tot in candidates]
+    print("\n".join(lines), end="\n\n")
     print(render_schedule(sched, "grid"), end="")
 
 
@@ -183,9 +187,7 @@ def cmd_solve(args) -> int:
             "ratio guarantees void",
             file=sys.stderr,
         )
-    report, sched = solve(
-        D, mode=mode, cap=args.hk_cap, tour=tour, keep_candidates=args.dump_candidates
-    )
+    report, sched = solve(D, mode=mode, tour=tour, keep_candidates=args.dump_candidates)
     if args.schedule_out:
         Path(args.schedule_out).write_text(render_schedule(sched, "rows"))
     _emit_report(
@@ -266,7 +268,7 @@ def cmd_bench(args) -> int:
         run_mode = mode
         tour = None
         note = mode
-        if mode == "exact" and n > args.hk_cap:
+        if mode == "exact" and n > HELD_KARP_CAP:
             tour_path = Path(args.tours) / f"{family}{n}.tour" if args.tours else None
             if tour_path and tour_path.exists():
                 run_mode = "tour_file"
@@ -275,9 +277,7 @@ def cmd_bench(args) -> int:
             else:
                 rows.append((family, n, "", "", "", best_ub, "skipped: beyond exact-tour cap"))
                 continue
-        report, _sched = solve(
-            D, mode=run_mode, cap=args.hk_cap, tour=tour, want_certificate=False
-        )
+        report, _sched = solve(D, mode=run_mode, tour=tour, want_certificate=False)
         if report.lower_bound is None:
             note += " no-bound"
         rows.append(
@@ -286,7 +286,7 @@ def cmd_bench(args) -> int:
                 n,
                 report.total_distance,
                 report.lower_bound if report.lower_bound is not None else "",
-                render_gap(report.gap_percent),
+                _gap(report.gap_percent),
                 best_ub,
                 note,
             )
@@ -320,7 +320,7 @@ def cmd_oracle(args) -> int:
         ("total_distance", res.optimum),
         ("tau", tau),
         ("lower_bound", bound),
-        ("gap_percent", render_gap(gap)),
+        ("gap_percent", _gap(gap)),
         ("tsp_mode", "oracle"),
         ("explored_nodes", res.explored),
     ]
@@ -351,12 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsp", default="exact", help="exact | christofides | tour-file=PATH")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--dump-candidates", action="store_true")
-    p.add_argument(
-        "--hk-cap",
-        type=_hk_cap,
-        default=HELD_KARP_CAP,
-        help=f"exact-tour DP vertex cap (at most {HELD_KARP_CAP})",
-    )
     p.add_argument("--schedule-out", help="also write the schedule in rows format here")
     p.set_defaults(func=cmd_solve)
 
@@ -369,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance_dir")
     p.add_argument("--tsp", choices=("exact", "christofides"), default="exact")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--hk-cap", type=_hk_cap, default=HELD_KARP_CAP)
-    p.add_argument("--tours", help="directory of <family><n>.tour files for n beyond the cap")
+    p.add_argument("--tours", help=f"directory of <family><n>.tour files for n > {HELD_KARP_CAP}")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle", help="exhaustive 4-team optimum")

@@ -257,7 +257,6 @@ def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCy
 def solve(
     D: DistanceMatrix,
     mode: str = "exact",
-    cap: int = HELD_KARP_CAP,
     tour: Optional[Sequence[int]] = None,
     want_certificate: bool = True,
     keep_candidates: bool = False,
@@ -267,11 +266,11 @@ def solve(
     n = D.n
     if n % 2 != 0 or n < 4:
         raise SolverError(f"n must be even and >= 4, got {n}")
-    pivoted = build_pivoted_cycle(D, mode=mode, cap=cap, tour=tour)
+    pivoted = build_pivoted_cycle(D, mode=mode, tour=tour)
     if pivoted.full_tour is not None:
         tau: Optional[Number] = pivoted.full_tour.length
-    elif n <= min(cap, HELD_KARP_CAP):
-        tau = held_karp(D, cap=cap).length
+    elif n <= HELD_KARP_CAP:
+        tau = held_karp(D).length
     else:
         tau = None
 

@@ -19,8 +19,8 @@ is extended one vertex in a single step over whole rows: for every set and
 every next vertex j, the minimum over all k predecessors i of
 ``dp[i] + dist[i, j]``, keeping the first minimum. A predecessor outside the
 set holds ``INF``, longer than any Hamilton path, so it never wins and the
-tours equal those of a per-mask DP. ``held_karp`` refuses more than
-``HELD_KARP_CAP`` vertices before allocating, whatever ``cap`` it is given.
+tours equal those of a per-mask DP. ``HELD_KARP_CAP`` is the one size limit
+on an exact tour, and no argument moves it.
 """
 
 from __future__ import annotations
@@ -111,24 +111,18 @@ def _check_vertex_set(D: DistanceMatrix, vertex_set: Optional[Iterable[int]]) ->
     return verts
 
 
-def held_karp(
-    D: DistanceMatrix,
-    vertex_set: Optional[Iterable[int]] = None,
-    cap: int = HELD_KARP_CAP,
-) -> Tour:
+def held_karp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = None) -> Tour:
     """Exact shortest Hamilton cycle by subset DP over the induced subgraph.
 
-    ``cap`` may lower the vertex limit but not raise it past
-    ``HELD_KARP_CAP``: the DP table has ``2^(k-1) * k`` cells, and the
-    check runs before anything is allocated.
+    The DP table has ``2^(k-1) * k`` cells, so more than ``HELD_KARP_CAP``
+    vertices are refused before anything is allocated.
     """
     verts = _check_vertex_set(D, vertex_set)
     k = len(verts)
     if k < 3:
         raise TspError(f"need at least 3 vertices, got {k}")
-    limit = min(cap, HELD_KARP_CAP)
-    if k > limit:
-        raise TspError(f"{k} vertices exceeds the exact-DP cap of {limit}")
+    if k > HELD_KARP_CAP:
+        raise TspError(f"{k} vertices exceeds the exact-DP cap of {HELD_KARP_CAP}")
     return Tour.from_vertices(D, _held_karp(D, verts))
 
 
@@ -372,7 +366,6 @@ def parse_tour_file(text: str, n: int) -> tuple[int, ...]:
 def build_pivoted_cycle(
     D: DistanceMatrix,
     mode: str = "exact",
-    cap: int = HELD_KARP_CAP,
     tour: Optional[Sequence[int]] = None,
 ) -> PivotedCycle:
     """Pick the pivot, build a cycle on the remaining vertices.
@@ -381,8 +374,8 @@ def build_pivoted_cycle(
     join directly; the triangle inequality means no length increase).
     christofides: 1.5-ratio cycle built directly on the non-pivot vertices.
     tour_file: a supplied all-vertex tour, which must be a shortest cycle;
-    it is checked against Held-Karp when n <= min(cap, HELD_KARP_CAP) and
-    trusted beyond, then the pivot is skipped as in exact mode.
+    it is checked against Held-Karp when n <= HELD_KARP_CAP and trusted
+    beyond, then the pivot is skipped as in exact mode.
     """
     if D.n % 2 != 0 or D.n < 4:
         raise TspError(f"need an even vertex count >= 4, got {D.n}")
@@ -390,7 +383,7 @@ def build_pivoted_cycle(
     matching_exact: Optional[bool] = None
     full: Optional[Tour] = None
     if mode == "exact":
-        full = held_karp(D, cap=cap)
+        full = held_karp(D)
     elif mode == "christofides":
         res = christofides(D, [v for v in range(D.n) if v != pivot])
         cycle, matching_exact = res.tour, res.matching_exact
@@ -400,7 +393,7 @@ def build_pivoted_cycle(
         if sorted(tour) != list(range(D.n)):
             raise TspError(f"supplied tour must be a permutation of 0..{D.n - 1}")
         full = Tour.from_vertices(D, tour)
-        if D.n <= min(cap, HELD_KARP_CAP) and full.length > (tau := held_karp(D, cap=cap).length):
+        if D.n <= HELD_KARP_CAP and full.length > (tau := held_karp(D).length):
             raise TspError(
                 f"supplied tour has length {full.length}, longer than the shortest cycle ({tau})"
             )

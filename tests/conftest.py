@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from uttp import DistanceMatrix, load_instance
+from uttp import DistanceMatrix, load_instance, render_distance_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -36,12 +36,35 @@ def nl8() -> DistanceMatrix:
     return load_instance(INSTANCES / "nl8.txt")
 
 
+def line_rows(n: int) -> list[list[int]]:
+    """Venues at coordinates 0..n-1 on a line: d = |i - j|. Every cycle
+    crosses each unit gap at least twice, so the shortest is 2(n-1), and
+    the tour 0 1 ... n-1 attains it."""
+    return [[abs(i - j) for j in range(n)] for i in range(n)]
+
+
 @pytest.fixture
 def line4() -> DistanceMatrix:
     """Venues at coordinates 0,1,2,3 on a line."""
-    return DistanceMatrix.from_rows(
-        [[abs(i - j) for j in range(4)] for i in range(4)]
-    )
+    return DistanceMatrix.from_rows(line_rows(4))
+
+
+@pytest.fixture
+def line22() -> DistanceMatrix:
+    """Venues at coordinates 0..21 on a line: two vertices past
+    HELD_KARP_CAP, with a known shortest cycle of 42."""
+    return DistanceMatrix.from_rows(line_rows(22))
+
+
+@pytest.fixture
+def bench_dir(tmp_path) -> Path:
+    """A bench directory holding nl4.txt, within the Held-Karp cap, and
+    line22.txt, past it."""
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "nl4.txt").write_text((INSTANCES / "nl4.txt").read_text())
+    (d / "line22.txt").write_text(render_distance_matrix(DistanceMatrix.from_rows(line_rows(22))))
+    return d
 
 
 @pytest.fixture

@@ -99,7 +99,7 @@ def random_suite():
         D = random_euclidean_instance(n, seed=10_000 + i)
         pivoted = build_pivoted_cycle(D, mode="exact")
         exact_report, exact_sched = solve(D, mode="exact")
-        heur_report, heur_sched = solve(D, mode="christofides", cap=0, want_certificate=False)
+        heur_report, heur_sched = solve(D, mode="christofides", want_certificate=False)
         records.append(
             SuiteRecord(
                 D=D,
@@ -353,57 +353,45 @@ def test_criterion_9_golden_grid():
     finish(9, failures, "180 cells exact")
 
 
-def test_criterion_10_declared_limits(tmp_path, capsys):
+def test_criterion_10_declared_limits(tmp_path, bench_dir, capsys):
     failures = []
 
-    # exact mode beyond the DP cap: an explicit skipped row, no gap claim
-    code = cli_main(["bench", str(INSTANCES), "--hk-cap", "4", "--format", "csv"])
-    out = capsys.readouterr().out
-    if code != 0:
-        failures.append("bench (capped) exited nonzero")
-    for line in out.splitlines():
-        if line.startswith("nl,6") or line.startswith("nl,8"):
-            family, n, approx, bound, gap, ub, note = line.split(",")
-            if "skipped" not in note or approx or bound:
-                failures.append(f"capped exact row not skipped: {line}")
+    def bench_rows(*argv):
+        code = cli_main(["bench", str(bench_dir), *argv, "--format", "csv"])
+        if code != 0:
+            failures.append(f"bench {argv} exited {code}")
+        lines = capsys.readouterr().out.splitlines()[1:]
+        return {"".join(line.split(",")[:2]): line.split(",") for line in lines}
 
-    # christofides rows are labeled and carry no bound/gap claim beyond the cap
-    code = cli_main(
-        ["bench", str(INSTANCES), "--tsp", "christofides", "--hk-cap", "4", "--format", "csv"]
-    )
-    out = capsys.readouterr().out
-    for line in out.splitlines():
-        if line.startswith("nl,6") or line.startswith("nl,8"):
-            family, n, approx, bound, gap, ub, note = line.split(",")
-            if "christofides" not in note or bound != "" or gap != "n/a":
-                failures.append(f"christofides row claims a bound: {line}")
-            if not approx:
-                failures.append(f"christofides row missing its total: {line}")
+    # exact mode past the DP cap (line22 has 22 venues): an explicit skipped
+    # row, no gap claim; nl4 keeps its full row
+    rows = bench_rows()
+    family, n, approx, bound, gap, ub, note = rows["line22"]
+    if "skipped" not in note or approx or bound:
+        failures.append(f"exact row past the cap not skipped: {rows['line22']}")
+    if rows["nl4"][2:5] != ["8276", "8044", "2.9"]:
+        failures.append(f"nl4 exact row wrong: {rows['nl4']}")
 
-    # a supplied shortest-cycle file restores the full row beyond the cap
+    # christofides rows are labeled and carry no bound/gap claim past the cap
+    rows = bench_rows("--tsp", "christofides")
+    family, n, approx, bound, gap, ub, note = rows["line22"]
+    if note != "christofides no-bound" or bound != "" or gap != "n/a":
+        failures.append(f"christofides row claims a bound: {rows['line22']}")
+    if not approx:
+        failures.append(f"christofides row missing its total: {rows['line22']}")
+
+    # a supplied shortest-cycle file restores the full row past the cap:
+    # 0 1 ... 21 is a shortest cycle of line22 (length 42), so the row is
+    # the one exact mode would print with a larger cap
     tours = tmp_path / "tours"
     tours.mkdir()
-    nl6 = load_instance(INSTANCES / "nl6.txt")
-    tours.joinpath("nl6.tour").write_text(
-        " ".join(str(v) for v in held_karp(nl6).vertices) + "\n"
-    )
-    code = cli_main(
-        [
-            "bench",
-            str(INSTANCES),
-            "--hk-cap",
-            "4",
-            "--tours",
-            str(tours),
-            "--format",
-            "csv",
-        ]
-    )
-    out = capsys.readouterr().out
-    row = next(l for l in out.splitlines() if l.startswith("nl,6"))
-    family, n, approx, bound, gap, ub, note = row.split(",")
-    if (approx, bound, gap) != ("20547", "17826", "15.3") or "tour-file" not in note:
-        failures.append(f"tour-file row does not reproduce the exact-mode values: {row}")
+    tours.joinpath("line22.tour").write_text(" ".join(map(str, range(22))) + "\n")
+    rows = bench_rows("--tours", str(tours))
+    family, n, approx, bound, gap, ub, note = rows["line22"]
+    report, _ = solve(load_instance(bench_dir / "line22.txt"), mode="tour_file", tour=range(22))
+    want = (str(report.total_distance), "924", f"{float(report.gap_percent):.1f}", "tour-file")
+    if (approx, bound, gap, note) != want:
+        failures.append(f"tour-file row {rows['line22']} is not {want}")
 
     # the n=10 incumbents stay reference constants only
     if BEST_KNOWN_UB[("nl", 10)] != 45605 or BEST_KNOWN_UB[("galaxy", 10)] != 3570:

@@ -202,55 +202,44 @@ def test_bench_text_matches_csv_numbers(capsys):
     assert "family nl" in text_out
 
 
-def test_bench_skips_beyond_cap(capsys):
+def bench_rows(out: str) -> dict[str, list[str]]:
+    """CSV bench rows keyed by family and size, e.g. ``"nl4"``."""
+    lines = out.strip().splitlines()
+    assert lines[0] == "family,n,approx,n_tsp,gap_percent,best_ub,note"
+    return {"".join(line.split(",")[:2]): line.split(",") for line in lines[1:]}
+
+
+def test_bench_skips_beyond_cap(bench_dir, capsys):
+    code, out, _ = run_cli(capsys, "bench", str(bench_dir), "--format", "csv")
+    assert code == 0
+    rows = bench_rows(out)
+    assert rows["nl4"][2:5] == ["8276", "8044", "2.9"]
+    # line22 is past the Held-Karp cap and has no tour file
+    assert rows["line22"][2:] == ["", "", "", "", "skipped: beyond exact-tour cap"]
+
+
+def test_bench_christofides_rows_labeled(bench_dir, capsys):
     code, out, _ = run_cli(
-        capsys, "bench", str(INSTANCES), "--hk-cap", "4", "--format", "csv"
+        capsys, "bench", str(bench_dir), "--tsp", "christofides", "--format", "csv"
     )
     assert code == 0
-    skipped = [l for l in out.splitlines() if "skipped" in l]
-    assert len(skipped) == 2  # nl6 and nl8 need tours beyond a cap of 4
+    rows = bench_rows(out)
+    assert rows["nl4"][3:5] == ["8044", "2.9"] and rows["nl4"][6] == "christofides"
+    family, n, approx, bound, gap, ub, note = rows["line22"]
+    assert approx and (bound, gap, note) == ("", "n/a", "christofides no-bound")
 
 
-def test_bench_christofides_rows_labeled(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "bench",
-        str(INSTANCES),
-        "--tsp",
-        "christofides",
-        "--hk-cap",
-        "4",
-        "--format",
-        "csv",
-    )
-    assert code == 0
-    for line in out.splitlines()[1:]:
-        family, n, approx, bound, gap, ub, note = line.split(",")
-        assert "christofides" in note
-        if int(n) > 4:
-            assert bound == ""
-            assert "no-bound" in note
-
-
-def test_bench_tour_files_extend_cap(tmp_path, capsys):
+def test_bench_tour_files_extend_cap(tmp_path, bench_dir, capsys):
     tours = tmp_path / "tours"
     tours.mkdir()
-    (tours / "nl6.tour").write_text("0 1 3 5 4 2\n")  # any permutation works
+    (tours / "line22.tour").write_text(" ".join(map(str, range(22))) + "\n")  # shortest: 42
     code, out, _ = run_cli(
-        capsys,
-        "bench",
-        str(INSTANCES),
-        "--hk-cap",
-        "4",
-        "--tours",
-        str(tours),
-        "--format",
-        "csv",
+        capsys, "bench", str(bench_dir), "--tours", str(tours), "--format", "csv"
     )
     assert code == 0
-    nl6 = next(l for l in out.splitlines() if l.startswith("nl,6"))
-    assert "tour-file" in nl6
-    assert "skipped" not in nl6
+    family, n, approx, bound, gap, ub, note = bench_rows(out)["line22"]
+    assert (bound, note) == ("924", "tour-file")
+    assert gap == f"{(int(approx) / 924 - 1) * 100:.1f}"
 
 
 def test_bench_zero_matrix_gap_na(tmp_path, capsys):
@@ -356,21 +345,41 @@ def test_solve_non_metric_warns(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, message",
     [
-        (["solve", str(INSTANCES / "nl4.txt"), "--schedule-out", "{tmp}/missing/x.rows"], 2),
-        (["gen", "--n", "6", "--seed", "1", "--out", "{tmp}/missing/x.txt"], 2),
-        (["gen", "--n", "6", "--seed", "1", "--box", "nan"], 2),
-        (["oracle", str(INSTANCES / "nl6.txt")], 2),
-        (["solve", "{tmp}/five.txt"], 2),
-        (["gen", "--n", "2", "--seed", "1"], 2),
+        (["solve", str(INSTANCES / "nl4.txt"), "--schedule-out", "{tmp}/missing/x.rows"], 2, "No such file"),
+        (["gen", "--n", "6", "--seed", "1", "--out", "{tmp}/missing/x.txt"], 2, "No such file"),
+        (["gen", "--n", "6", "--seed", "1", "--box", "nan"], 2, "box must be finite"),
+        (["oracle", str(INSTANCES / "nl6.txt")], 2, "limited to n=4, got n=6"),
+        (["solve", "{tmp}/five.txt"], 2, "even and >= 4, got 5"),
+        (["gen", "--n", "2", "--seed", "1"], 2, "need n >= 3, got 2"),
+        (["validate", "{tmp}/four.rows", str(INSTANCES / "nl6.txt")], 2, "6 venues but schedule has 4 teams"),
+        (["bench", "{tmp}/misnamed"], 2, "file says n=6, name says 4"),
+        (["bench", "{tmp}/five.txt"], 2, "not a directory"),
+        (["solve", str(INSTANCES / "nl4.txt"), "--tsp", "tour-file={tmp}/missing.tour"], 2, "cannot read tour file"),
+        (["solve", str(INSTANCES / "nl4.txt"), "--tsp", "bogus"], 2, "--tsp must be exact, christofides"),
     ],
-    ids=["schedule-out-unwritable", "gen-out-unwritable", "gen-box-nan", "oracle-big", "solve-odd-n", "gen-tiny"],
+    ids=[
+        "schedule-out-unwritable",
+        "gen-out-unwritable",
+        "gen-box-nan",
+        "oracle-big",
+        "solve-odd-n",
+        "gen-tiny",
+        "validate-size-mismatch",
+        "bench-misnamed-file",
+        "bench-not-a-directory",
+        "tour-file-missing",
+        "tsp-bogus",
+    ],
 )
-def test_failures_exit_with_documented_code(tmp_path, argv, code):
+def test_failures_exit_with_documented_code(tmp_path, argv, code, message):
     (tmp_path / "five.txt").write_text(
         "0 1 1 1 1\n1 0 1 1 1\n1 1 0 1 1\n1 1 1 0 1\n1 1 1 1 0\n"
     )
+    (tmp_path / "four.rows").write_text(render_schedule(mirror_and_assign(4), "rows"))
+    (tmp_path / "misnamed").mkdir()
+    (tmp_path / "misnamed" / "nl4.txt").write_text((INSTANCES / "nl6.txt").read_text())
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "uttp", *argv], capture_output=True, text=True
@@ -379,28 +388,86 @@ def test_failures_exit_with_documented_code(tmp_path, argv, code):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_hk_cap_above_limit_rejected_at_parse_time(tmp_path, command):
-    # the n=30 table would need 240 GiB; the address-space limit turns a
-    # regression into a MemoryError here instead of exhausting the host
+# cyclic neighbours 1 apart, every other pair 10^400: the gap to n * tau is
+# about 10^401 percent
+HUGE6 = "\n".join(
+    " ".join("0" if i == j else "1" if (i - j) % 6 in (1, 5) else str(10**400) for j in range(6))
+    for i in range(6)
+)
+# rational entries past the float range: totals and certificate sides overflow
+# a float, the gap does not
+HUGE_Q4 = "0 1e400 1.5e400 1e400\n1e400 0 1e400 1.5e400\n1.5e400 1e400 0 1e400\n1e400 1.5e400 1e400 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, fmt, message",
+    [
+        ("solve", "huge6.txt", "text", "gap_percent is about 10^401"),
+        ("solve", "huge6.txt", "csv", "gap_percent is about 10^401"),
+        ("solve", "huge6.txt", "json", "gap_percent is about 10^401"),
+        ("bench", "huge6.txt", "text", "gap_percent is about 10^401"),
+        ("bench", "huge6.txt", "csv", "gap_percent is about 10^401"),
+        ("solve", "q4.txt", "text", "certificate.edge_max is about 10^400"),
+        ("solve", "q4.txt", "json", "total_distance is about 10^401"),
+        ("oracle", "q4.txt", "json", "total_distance is about 10^401"),
+    ],
+)
+def test_values_past_the_float_range_exit_2(tmp_path, capsys, command, name, fmt, message):
+    (tmp_path / name).write_text(HUGE6 if name == "huge6.txt" else HUGE_Q4)
+    target = tmp_path if command == "bench" else tmp_path / name
+    code, out, err = run_cli(capsys, command, str(target), "--format", fmt)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {message}, past the float range"]
+
+
+def test_values_past_the_float_range_print_exactly_in_csv(tmp_path, capsys):
+    (tmp_path / "q4.txt").write_text(HUGE_Q4)
+    code, out, _ = run_cli(capsys, "solve", str(tmp_path / "q4.txt"), "--format", "csv")
+    assert code == 0
+    header, row = out.splitlines()[:2]
+    report = dict(zip(header.split(","), row.split(",")))
+    assert report["total_distance"] == str(185 * 10**399)
+    assert report["lower_bound"] == str(16 * 10**400)
+    assert report["gap_percent"] == "15.6"
+
+
+def limit_memory():
+    # the n=30 Held-Karp table would need 240 GiB; this address-space limit
+    # turns a regression into a MemoryError instead of exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+def run_big30(tmp_path, *argv):
     (tmp_path / "big30.txt").write_text(render_distance_matrix(random_euclidean_instance(30, 1)))
-    target = tmp_path / "big30.txt" if command == "solve" else tmp_path
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "uttp", command, str(target), "--hk-cap", "30"],
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    return subprocess.run(
+        [sys.executable, "-m", "uttp", *argv],
         capture_output=True,
         text=True,
         preexec_fn=limit_memory,
     )
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_hk_cap_above_limit_rejected_at_parse_time(tmp_path, command):
+    # no option moves the exact-tour cap: --hk-cap is not an argument
+    target = "{tmp}/big30.txt" if command == "solve" else "{tmp}"
+    proc = run_big30(tmp_path, command, target, "--hk-cap", "30")
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--hk-cap: must be at most 20, got 30" in errors[0]
+    assert len(errors) == 1 and "unrecognized arguments: --hk-cap 30" in errors[0]
+
+
+def test_solve_past_held_karp_cap_refused_before_allocating(tmp_path):
+    proc = run_big30(tmp_path, "solve", "{tmp}/big30.txt")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 30 vertices exceeds the exact-DP cap of 20\n"
 
 
 def test_module_entry_point():

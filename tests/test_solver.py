@@ -29,6 +29,7 @@ from uttp.solver import (
     candidate_totals,
     schedule_family,
 )
+import uttp.tsp
 from uttp.tsp import PivotedCycle
 
 from independent import (
@@ -407,20 +408,25 @@ def test_solve_tour_file_mode(nl4):
     assert not report.guarantees_valid  # tour-file mode makes no ratio claim
 
 
-def test_solve_cap_above_held_karp_cap_skips_the_dp():
-    # n=22 is past HELD_KARP_CAP: a larger cap must not ask for the DP
-    D = random_euclidean_instance(22, 0)
-    report, _ = solve(D, mode="christofides", cap=25, want_certificate=False)
-    assert report.tau is None and report.lower_bound is None
-    assert report == solve(D, mode="christofides", want_certificate=False)[0]
+def no_held_karp_dp(*args):
+    raise AssertionError("Held-Karp ran past HELD_KARP_CAP")
 
 
-def test_solve_tour_file_cap_above_held_karp_cap_trusts_the_tour():
+def test_solve_past_held_karp_cap_skips_the_dp(monkeypatch):
+    # n=22 is past HELD_KARP_CAP: no tau, so no bound, gap or certificate
+    monkeypatch.setattr(uttp.tsp, "_held_karp", no_held_karp_dp)
+    report, _ = solve(random_euclidean_instance(22, 0), mode="christofides")
+    assert report.tau is None and report.lower_bound is None and report.gap_percent is None
+    assert report.certificate is None
+
+
+def test_solve_tour_file_past_held_karp_cap_trusts_the_tour(monkeypatch):
+    monkeypatch.setattr(uttp.tsp, "_held_karp", no_held_karp_dp)
     D = random_euclidean_instance(22, 0)
-    tour = christofides(D).tour.vertices
-    report, _ = solve(D, mode="tour_file", tour=tour, cap=25, want_certificate=False)
-    assert report.tau == christofides(D).tour.length  # trusted, as past the cap
-    assert report == solve(D, mode="tour_file", tour=tour, want_certificate=False)[0]
+    tour = christofides(D).tour
+    report, _ = solve(D, mode="tour_file", tour=tour.vertices, want_certificate=False)
+    assert report.tau == tour.length  # trusted, not checked
+    assert report.lower_bound == 22 * tour.length
 
 
 def test_solve_non_metric_voids_guarantees():
@@ -467,7 +473,8 @@ def test_solve_ratio_guarantees(n, seed):
     assert check_no_repeater(sched) == []
     assert exact_report.total_distance >= n * tau
     assert 4 * exact_report.total_distance <= 9 * n * tau
-    heur_report, heur_sched = solve(D, mode="christofides", cap=0, want_certificate=False)
+    heur_report, heur_sched = solve(D, mode="christofides", want_certificate=False)
+    assert heur_report.tau == tau  # christofides mode still reports tau up to the cap
     assert check_drr(heur_sched) == []
     assert 4 * heur_report.total_distance <= 11 * n * tau
 

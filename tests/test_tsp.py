@@ -79,11 +79,11 @@ def test_held_karp_nl4(nl4):
     assert cycle_length(nl4, tour.vertices) == tour.length
 
 
-def test_held_karp_size_limits(line4):
+def test_held_karp_size_limits(line4, line22):
     with pytest.raises(TspError):
         held_karp(line4, vertex_set=[0, 1])
-    with pytest.raises(TspError):
-        held_karp(random_euclidean_instance(6, 0), cap=5)
+    with pytest.raises(TspError, match=f"21 vertices exceeds the exact-DP cap of {HELD_KARP_CAP}"):
+        held_karp(line22, vertex_set=range(21))
 
 
 @settings(max_examples=20, deadline=None)
@@ -107,14 +107,17 @@ def test_held_karp_equals_brute_force(n, seed, box, rational):
 
 
 def test_held_karp_cap_cannot_be_raised(monkeypatch):
-    # a 21-vertex table is past the memory budget whatever cap is passed;
-    # the check must come before any allocation
+    # a 21-vertex table is past the memory budget, and no argument moves the
+    # limit; the check must come before any allocation
     def no_alloc(*args, **kwargs):
         raise AssertionError("held_karp allocated a table past its cap")
 
     monkeypatch.setattr(uttp.tsp.np, "full", no_alloc)
+    D = random_euclidean_instance(21, 0)
     with pytest.raises(TspError, match=f"cap of {HELD_KARP_CAP}"):
-        held_karp(random_euclidean_instance(21, 0), cap=30)
+        held_karp(D)
+    with pytest.raises(TypeError):
+        held_karp(D, cap=30)
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,12 +362,22 @@ def test_tour_file_rejects_bad_permutations(nl4):
         parse_tour_file("0 1 2 x", 4)
 
 
-def test_tour_file_checked_up_to_cap(nl4):
+def test_tour_file_checked_up_to_cap(nl4, line22, monkeypatch):
     # (0,1,2,3) has length 2134, above nl4's shortest cycle 2011
-    with pytest.raises(TspError, match="longer than the shortest cycle"):
+    with pytest.raises(TspError, match=r"longer than the shortest cycle \(2011\)"):
         build_pivoted_cycle(nl4, mode="tour_file", tour=(0, 1, 2, 3))
-    pc = build_pivoted_cycle(nl4, mode="tour_file", tour=(0, 1, 2, 3), cap=3)
-    assert pc.full_tour.length == 2134
+    # the check runs up to the cap itself: 20 venues on a line, shortest 38
+    line20 = DistanceMatrix.from_rows([[abs(i - j) for j in range(20)] for i in range(20)])
+    with pytest.raises(TspError, match=r"length 40, longer than the shortest cycle \(38\)"):
+        build_pivoted_cycle(line20, mode="tour_file", tour=(0, 2, 1, *range(3, 20)))
+    # past the cap the tour is trusted without running the DP, even one
+    # longer than line22's shortest cycle 42
+    def no_dp(*args):
+        raise AssertionError("Held-Karp ran past its cap")
+
+    monkeypatch.setattr(uttp.tsp, "_held_karp", no_dp)
+    pc = build_pivoted_cycle(line22, mode="tour_file", tour=(0, 2, 1, *range(3, 22)))
+    assert pc.full_tour.length == 44
 
 
 @settings(max_examples=20, deadline=None)
