@@ -2,6 +2,11 @@
 benchmark table, query the exhaustive 4-team oracle, generate test data.
 
 ``_emit_report`` prints every ``solve`` and ``oracle`` report, in each format.
+Its JSON is ``json.dumps(indent=2)`` of the small keys, with the candidate
+dump, the bulk of the report, spliced in from a fixed per-candidate template:
+``indent`` sends ``json`` to its pure-Python encoder, which would cost more
+than the solve. ``main`` builds its argparse tree on its first call and reuses
+it for later calls in the same process.
 
 Exit codes: 0 ok; 2 invalid input (instance, tour, option value, or an
 unreadable or unwritable path); 3 infeasible schedule; 4 internal
@@ -89,7 +94,7 @@ def _parse_tsp_mode(value: str) -> tuple[str, str | None]:
 
 def _num(x, key: str):
     """A Fraction as the float it prints as; CliError past the float range."""
-    if not isinstance(x, Fraction):
+    if type(x) is int or not isinstance(x, Fraction):  # int first: skips ABCMeta's check
         return x
     try:
         return float(x)
@@ -122,12 +127,26 @@ def _report_pairs(report) -> list[tuple[str, object]]:
     ]
 
 
-def _emit_report(pairs, gap, per_team, sched, fmt: str, certificate=None, candidates=None) -> None:
+# one dumped candidate as json.dumps(indent=2) prints it inside the report;
+# json prints ints and floats with their __repr__, as %r does
+_CANDIDATE_JSON = '    {\n      "r": %d,\n      "direction": "%s",\n      "m": %d,\n      "total": %r\n    }'
+
+
+def _emit_report(
+    pairs, gap, per_team, sched, fmt: str, certificate=None, candidates=None, schedule_out=None
+) -> None:
     """Print a ``solve`` or ``oracle`` report in ``fmt``: ``pairs`` in order
     (``gap_percent`` rendered; JSON prints the exact ``gap`` as a number), the
-    per-team travel, the certificate and candidates when given, the schedule.
-    Every value is converted before the first line is printed, so a value
-    past the float range raises ``CliError`` with nothing on stdout."""
+    per-team travel, the certificate and candidates when given, the schedule;
+    with ``schedule_out``, also write the schedule in rows format there.
+    Every value is converted before that file is written and before the
+    first line is printed, so a value past the float range raises
+    ``CliError`` with no file and nothing on stdout.
+
+    JSON equals ``json.dumps(doc, indent=2)`` of the whole report, but only
+    the keys around the candidate list go through ``json``; each candidate
+    is printed from ``_CANDIDATE_JSON`` and the list is spliced in between."""
+    rows = render_schedule(sched, "rows")
     if fmt == "json":
         doc = {k: _num(v, k) for k, v in pairs}
         doc["per_team_distances"] = [_num(x, "per_team_distances") for x in per_team]
@@ -141,35 +160,40 @@ def _emit_report(pairs, gap, per_team, sched, fmt: str, certificate=None, candid
                 }
                 for c in certificate.checks
             }
+        dump = ""
         if candidates is not None:
-            doc["candidates"] = [
-                {"r": r, "direction": d, "m": m, "total": _num(tot, "candidates")}
-                for r, d, m, tot in candidates
-            ]
-        doc["schedule_rows"] = render_schedule(sched, "rows").splitlines()
-        print(json.dumps(doc, indent=2))
-        return
-    if fmt == "csv":
-        print(",".join(k for k, _ in pairs))
-        print(",".join("" if v is None else str(v) for _, v in pairs))
-        if candidates is not None:
-            print("r,direction,m,total")
-            for r, d, m, tot in candidates:
-                print(f"{r},{d},{m},{tot}")
-        return
-    lines = [f"{k}: {'n/a' if v is None else v}" for k, v in pairs]
-    lines.append("per_team_distances: " + " ".join(str(x) for x in per_team))
-    if certificate is not None:
-        lines += [
-            f"certificate.{c.name}: {'ok' if c.ok else 'VIOLATED'} "
-            f"(slack {_num(c.slack, f'certificate.{c.name}')})"
-            for c in certificate.checks
+            items = ",\n".join(
+                [_CANDIDATE_JSON % (r, d, m, _num(tot, "candidates")) for r, d, m, tot in candidates]
+            )
+            dump = f'\n  "candidates": [\n{items}\n  ],' if items else '\n  "candidates": [],'
+        head = json.dumps(doc, indent=2)[:-2]  # without the closing "\n}"
+        tail = json.dumps({"schedule_rows": rows.splitlines()}, indent=2)[1:]  # without "{"
+        text = f"{head},{dump}{tail}\n"
+    elif fmt == "csv":
+        lines = [
+            ",".join(k for k, _ in pairs),
+            ",".join("" if v is None else str(v) for _, v in pairs),
         ]
-    if candidates is not None:
-        lines.append("candidates (r direction m total):")
-        lines += [f"  {r} {d} {m} {tot}" for r, d, m, tot in candidates]
-    print("\n".join(lines), end="\n\n")
-    print(render_schedule(sched, "grid"), end="")
+        if candidates is not None:
+            lines.append("r,direction,m,total")
+            lines += [f"{r},{d},{m},{tot}" for r, d, m, tot in candidates]
+        text = "\n".join(lines) + "\n"
+    else:
+        lines = [f"{k}: {'n/a' if v is None else v}" for k, v in pairs]
+        lines.append("per_team_distances: " + " ".join(str(x) for x in per_team))
+        if certificate is not None:
+            lines += [
+                f"certificate.{c.name}: {'ok' if c.ok else 'VIOLATED'} "
+                f"(slack {_num(c.slack, f'certificate.{c.name}')})"
+                for c in certificate.checks
+            ]
+        if candidates is not None:
+            lines.append("candidates (r direction m total):")
+            lines += [f"  {r} {d} {m} {tot}" for r, d, m, tot in candidates]
+        text = "\n".join(lines) + "\n\n" + render_schedule(sched, "grid")
+    if schedule_out:
+        Path(schedule_out).write_text(rows)
+    print(text, end="")
 
 
 def cmd_solve(args) -> int:
@@ -188,8 +212,6 @@ def cmd_solve(args) -> int:
             file=sys.stderr,
         )
     report, sched = solve(D, mode=mode, tour=tour, keep_candidates=args.dump_candidates)
-    if args.schedule_out:
-        Path(args.schedule_out).write_text(render_schedule(sched, "rows"))
     _emit_report(
         _report_pairs(report),
         report.gap_percent,
@@ -198,6 +220,7 @@ def cmd_solve(args) -> int:
         args.format,
         report.certificate,
         report.candidates,
+        args.schedule_out,
     )
     if report.metric and report.certificate is not None and not report.certificate.all_ok:
         bad = [c.name for c in report.certificate.checks if not c.ok]
@@ -213,6 +236,12 @@ def cmd_validate(args) -> int:
         raise CliError(EXIT_INFEASIBLE_SCHEDULE, f"cannot read schedule: {exc}") from exc
     except ScheduleError as exc:
         raise CliError(EXIT_INFEASIBLE_SCHEDULE, f"malformed schedule: {exc}") from exc
+    D = _read_instance(args.instance) if args.instance else None
+    if D is not None and D.n != sched.n:
+        raise CliError(
+            EXIT_INVALID_INSTANCE,
+            f"instance has {D.n} venues but schedule has {sched.n} teams",
+        )
     drr = check_drr(sched)
     mirrored = check_mirrored(sched)
     repeats = check_no_repeater(sched)
@@ -223,13 +252,7 @@ def cmd_validate(args) -> int:
             print(f"  {v.kind} at {v.where}: {v.message}")
     for t, (h, a) in enumerate(streak_stats(sched)):
         print(f"team {t}: max home streak {h}, max away streak {a}")
-    if args.instance:
-        D = _read_instance(args.instance)
-        if D.n != sched.n:
-            raise CliError(
-                EXIT_INVALID_INSTANCE,
-                f"instance has {D.n} venues but schedule has {sched.n} teams",
-            )
+    if D is not None:
         per_team, total = evaluate_athome(sched, tuple(range(sched.n)), D)
         print(f"total_distance: {total}")
         print("per_team_distances: " + " ".join(str(x) for x in per_team))
@@ -380,9 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main, not at import: library users import this
+# module too; parse_args returns a fresh namespace on every call
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import resource
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uttp import (
     mirror_and_assign,
@@ -15,7 +20,8 @@ from uttp import (
     render_schedule,
     rotate,
 )
-from uttp.cli import main
+from uttp.cli import _emit_report, main
+from uttp.solver import DIRECTIONS
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -335,6 +341,32 @@ def test_schedule_out_round_trips(tmp_path, capsys):
     assert "total_distance: 8276" in out
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; no option of one call may
+    # carry over to the next
+    nl4 = str(INSTANCES / "nl4.txt")
+    code, out, _ = run_cli(capsys, "solve", nl4, "--format", "json", "--dump-candidates")
+    assert code == 0 and len(json.loads(out)["candidates"]) == 2 * 3 * 6
+    code, out, _ = run_cli(capsys, "solve", nl4, "--format", "json")
+    assert code == 0 and "candidates" not in json.loads(out)
+    rows = tmp_path / "s.rows"
+    code, out, _ = run_cli(capsys, "solve", nl4, "--schedule-out", str(rows))
+    assert code == 0 and out.startswith("n: 4\n") and "candidates" not in out
+    rows.rename(tmp_path / "kept.rows")
+    code, out, _ = run_cli(capsys, "solve", nl4, "--format", "csv")
+    assert code == 0 and not rows.exists()
+    code, out, _ = run_cli(capsys, "validate", str(tmp_path / "kept.rows"), nl4)
+    assert code == 0 and "total_distance: 8276" in out
+    code, out, _ = run_cli(capsys, "bench", str(INSTANCES), "--format", "csv")
+    assert code == 0 and out.startswith("family,n,approx,")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", nl4, "--format", "xml"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: uttp solve [-h]")
+    assert "invalid choice: 'xml'" in err
+
+
 def test_solve_non_metric_warns(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 1 9\n1 0 1 1\n1 1 0 1\n9 1 1 0\n")
@@ -385,6 +417,7 @@ def test_failures_exit_with_documented_code(tmp_path, argv, code, message):
         [sys.executable, "-m", "uttp", *argv], capture_output=True, text=True
     )
     assert proc.returncode == code
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -422,6 +455,26 @@ def test_values_past_the_float_range_exit_2(tmp_path, capsys, command, name, fmt
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: {message}, past the float range"]
+
+
+@pytest.mark.parametrize(
+    "name, fmt, message",
+    [
+        ("huge6.txt", "text", "gap_percent is about 10^401"),
+        ("huge6.txt", "json", "gap_percent is about 10^401"),
+        ("q4.txt", "text", "certificate.edge_max is about 10^400"),
+        ("q4.txt", "json", "total_distance is about 10^401"),
+    ],
+)
+def test_schedule_out_not_written_when_the_report_fails(tmp_path, capsys, name, fmt, message):
+    (tmp_path / name).write_text(HUGE6 if name == "huge6.txt" else HUGE_Q4)
+    rows = tmp_path / "s.rows"
+    code, out, err = run_cli(
+        capsys, "solve", str(tmp_path / name), "--format", fmt, "--schedule-out", str(rows)
+    )
+    assert code == 2 and out == ""
+    assert f"error: {message}, past the float range" in err
+    assert not rows.exists()
 
 
 def test_values_past_the_float_range_print_exactly_in_csv(tmp_path, capsys):
@@ -478,3 +531,88 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "8276" in proc.stdout
+
+
+# report-shaped documents for the JSON writer: the real report keys, values of
+# every type a report holds, and totals that are ints, floats, big ints or
+# Fractions (printed as the float they convert to)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 1e-05, 1e16, 1e300, 5e-324, -0.0]),
+    st.fractions(max_denominator=1000),
+)
+NUMBERS = st.one_of(
+    st.integers(0, 10**6),
+    st.integers(-(10**60), 10**60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 1e-05, 1e16]),
+    st.fractions(max_denominator=1000),
+)
+REPORT_KEYS = (
+    "n", "total_distance", "tau", "tau_prime", "lower_bound", "gap_percent", "tsp_mode",
+    "matching_exact", "best_r", "best_direction", "best_m", "metric", "guarantees_valid",
+    "ratio_bound",
+)
+CHECK_NAMES = ("edge_max", "hamilton", "pair_sum", "ratio")
+CANDIDATES = st.lists(
+    st.tuples(st.integers(0, 30), st.sampled_from(DIRECTIONS), st.integers(0, 60), NUMBERS),
+    max_size=12,
+)
+
+
+def as_json(x):
+    return float(x) if isinstance(x, Fraction) else x
+
+
+def assert_writer_matches_json(pairs, gap, per_team, checks, candidates, n):
+    """``_emit_report``'s JSON equals ``json.dumps(indent=2)`` of the whole
+    document, built here from the same values."""
+    sched = mirror_and_assign(n)
+    certificate = None if checks is None else SimpleNamespace(checks=checks)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_report(pairs, gap, per_team, sched, "json", certificate, candidates)
+    doc = {k: as_json(v) for k, v in pairs}
+    doc["per_team_distances"] = [as_json(x) for x in per_team]
+    doc["gap_percent"] = as_json(gap)
+    if checks is not None:
+        doc["certificate"] = {
+            c.name: {"ok": c.ok, "lhs": as_json(c.lhs), "rhs": as_json(c.rhs)} for c in checks
+        }
+    if candidates is not None:
+        doc["candidates"] = [
+            {"r": r, "direction": d, "m": m, "total": as_json(t)} for r, d, m, t in candidates
+        ]
+    doc["schedule_rows"] = render_schedule(sched, "rows").splitlines()
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(SCALARS, min_size=len(REPORT_KEYS), max_size=len(REPORT_KEYS)),
+    gap=NUMBERS | st.none(),
+    per_team=st.lists(NUMBERS, min_size=1, max_size=6),
+    checks=st.none() | st.lists(
+        st.builds(SimpleNamespace, name=st.sampled_from(CHECK_NAMES), ok=st.booleans(), lhs=NUMBERS, rhs=NUMBERS),
+        unique_by=lambda c: c.name,
+    ),
+    candidates=st.none() | CANDIDATES,
+    n=st.sampled_from([4, 6]),
+)
+def test_json_writer_equals_stdlib_encoder(values, gap, per_team, checks, candidates, n):
+    assert_writer_matches_json(list(zip(REPORT_KEYS, values)), gap, per_team, checks, candidates, n)
+
+
+@pytest.mark.parametrize(
+    "candidates",
+    [None, [], [(0, "forward", 0, 0.1), (0, "reversed", 1, 1e-05), (1, "forward", 2, 1e16)],
+     [(2, "reversed", 3, 10**30), (3, "forward", 0, 7), (4, "reversed", 9, Fraction(1, 3))]],
+    ids=["none", "empty", "floats", "ints-and-fraction"],
+)
+def test_json_writer_candidate_lists(candidates):
+    pairs = [("n", 4), ("total_distance", 8276), ("gap_percent", "2.9")]
+    assert_writer_matches_json(pairs, Fraction(232, 8044), [1, 2, 3, 4], None, candidates, 4)
