@@ -2,7 +2,9 @@
 minimum-weight perfect matchings, and the pivoted cycle the scheduler needs.
 
 All tie-breaks (DP, MST, matching, Euler traversal) resolve to the lowest
-vertex index so outputs are bit-for-bit reproducible.
+vertex index so outputs are bit-for-bit reproducible. Of all shortest
+cycles, Held-Karp returns the lexicographically smallest vertex sequence
+from the lowest vertex, the one ``brute_force_tsp`` returns.
 
 Held-Karp, the MST and both matchings compare sums of distances and
 nothing else, so they take the induced submatrix of
@@ -13,14 +15,18 @@ comparison, so rational files get the tours and tie-breaks of their integer
 twins, and Fraction arithmetic never runs inside them. Tour lengths and
 matching weights are read from ``DistanceMatrix.d``.
 
-The Held-Karp table holds every vertex set that contains the start vertex,
-``(k, 2^(k-1))`` cells, its columns sorted by set size. Each popcount layer
-is extended one vertex in a single step over whole rows: for every set and
-every next vertex j, the minimum over all k predecessors i of
-``dp[i] + dist[i, j]``, keeping the first minimum. A predecessor outside the
-set holds ``INF``, longer than any Hamilton path, so it never wins and the
-tours equal those of a per-mask DP. ``HELD_KARP_CAP`` is the one size limit
-on an exact tour, and no argument moves it.
+The Held-Karp table holds plain path lengths from the start vertex, one row
+per last vertex other than the start and one column per set of the other
+vertices, ``(k-1, 2^(k-1))`` cells, its columns sorted by set size. It is
+int32 when its sentinel plus one step fits, else the image's int64 or
+object dtype. Each popcount layer is extended one vertex in a single step
+over whole rows: for every set and every next vertex j, the minimum over
+the k-1 predecessors i of ``dp[i] + dist[i, j]``. A predecessor outside the
+set holds ``INF``, longer than any Hamilton path, so it never wins. No
+parent table is kept: the tour is walked back from the full set, each step
+taking the first minimizing predecessor by ``np.argmin`` over the same sums,
+so the tours equal those of a per-mask DP. ``HELD_KARP_CAP`` is the one
+size limit on an exact tour, and no argument moves it.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .instance import DistanceMatrix, Number
 
 HELD_KARP_CAP = 20
 MATCHING_EXACT_MAX = 16
-# sets per Held-Karp step: bounds its (k, HK_BLOCK) temporaries. numpy 2.4's
-# broadcast adds ran 2-3x slower per element on rows of 2560 or fewer
+# sets per Held-Karp step: bounds its (k - 1, HK_BLOCK) temporaries. numpy
+# 2.4's broadcast adds ran 2-3x slower per element on rows of 2560 or fewer
 # (2-vCPU x86-64 host), and no faster on rows past 3072.
 HK_BLOCK = 3072
 
@@ -114,8 +120,10 @@ def _check_vertex_set(D: DistanceMatrix, vertex_set: Optional[Iterable[int]]) ->
 def held_karp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = None) -> Tour:
     """Exact shortest Hamilton cycle by subset DP over the induced subgraph.
 
-    The DP table has ``2^(k-1) * k`` cells, so more than ``HELD_KARP_CAP``
-    vertices are refused before anything is allocated.
+    Of all shortest cycles it returns the lexicographically smallest vertex
+    sequence from the lowest vertex, the one ``brute_force_tsp`` returns.
+    The DP table has ``2^(k-1) * (k-1)`` cells, so more than
+    ``HELD_KARP_CAP`` vertices are refused before anything is allocated.
     """
     verts = _check_vertex_set(D, vertex_set)
     k = len(verts)
@@ -152,52 +160,51 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     """Subset DP on the integer image of the induced submatrix; returns the
     cycle from verts[0].
 
-    Column ``c`` of the table is the set ``{0} | {j : bit j-1 of order[c]}``
-    and row i its last vertex; columns run through the sets by size, so a
-    popcount layer is a slice. Each layer, in blocks of ``HK_BLOCK`` sets,
-    becomes the next in one min-plus step over whole rows: for every next
-    vertex j, ``min_i k * dp[i] + step[i, j]`` with
-    ``step[i, j] = k * dist[i, j] + i``. The low part ``i < k`` makes that
-    minimum the shortest extension times k plus its first minimizing
-    predecessor, the one ``np.argmin`` would pick. A predecessor outside the
-    set holds ``INF``, and a member's candidate is always shorter, so the
-    tie-breaks are those of a per-mask DP over all k columns.
+    Vertex 0 only starts paths, so the table has a row per last vertex
+    j >= 1 (row j - 1) and a column per set of the other vertices, column
+    ``c`` the set ``{j : bit j-1 of order[c]}``; a cell holds the length of
+    the shortest path from 0 through that set to that last vertex. Columns
+    run through the sets by size, so a popcount layer is a slice. Each
+    layer, in blocks of ``HK_BLOCK`` sets, becomes the next in one min-plus
+    step over whole rows: for every next vertex j, ``min_i dp[i] +
+    dist[i, j]``. A cell whose j is in the set already lands in a spill
+    column past the last set, which nothing reads. A last vertex outside
+    the set holds ``INF``, longer than any Hamilton path, so it is never a
+    predecessor. No parent is kept: the tour is walked back from the full
+    set, and each step's ``np.argmin`` over the same sums picks the first
+    minimizing predecessor, so the tours are those of a per-mask DP.
     """
     k = len(verts)
     dist = D.array[np.ix_(verts, verts)]
+    # a length no Hamilton path reaches; the table is int32 when INF plus a
+    # step fits it, else the image's own int64 (whose bound covers the sum)
+    # or object dtype
+    INF = k * dist.max() + 1
+    if INF + dist.max() < 1 << 31:
+        dist = dist.astype(np.int32)
     order, start = _popcount_order(k - 1)
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
-    step = k * dist + np.arange(k)[:, None]
-    # k times a length no Hamilton path reaches; INF plus a step is at most
-    # 2 k^2 times the largest entry, plus 2k, so the int64 image cannot overflow
-    INF = k * (k * dist.max() + 1)
-    dp = np.full((k, len(order)), INF, dtype=dist.dtype)  # k * path length
-    parent = np.zeros(dp.shape, dtype=np.int8)
-    dp[0, 0] = 0
-    bit = np.append(0, 1 << np.arange(k - 1))[:, None]  # vertex j's bit; none for 0
-    offset = (np.arange(k) * len(order))[:, None]  # row starts in dp.reshape(-1)
-    dp_cells, parent_cells = dp.reshape(-1), parent.reshape(-1)
-    for p in range(k - 1):
+    spill = len(order)
+    dp = np.full((k - 1, spill + 1), INF, dtype=dist.dtype)
+    rows = np.arange(k - 1)
+    dp[rows, rows + 1] = dist[0, 1:]  # the one-vertex sets: order[1 + b] == 1 << b
+    step = dist[1:, 1:]
+    bit = (1 << rows)[:, None]  # row j - 1: vertex j's bit
+    offset = (rows * (spill + 1))[:, None]  # row starts in dp.reshape(-1)
+    cells = dp.reshape(-1)
+    for p in range(1, k - 1):
         for lo in range(start[p], start[p + 1], HK_BLOCK):
             hi = min(lo + HK_BLOCK, start[p + 1])
-            best = _min_plus(dp[:, lo:hi], step)  # (k, sets): row j is the next vertex
-            last = (best % k).astype(np.int8)  # the first minimizing predecessor
-            best -= last
             sets = order[lo:hi]
-            at = sets | bit  # (k, sets): each set grown by vertex j
-            new = at != sets  # j was not in the set yet
-            np.take(column, at, out=at)
+            at = np.where(sets & bit, spill, column[sets | bit])  # (k - 1, sets)
             at += offset
-            at = at[new]
-            dp_cells[at] = best[new]
-            parent_cells[at] = last[new]
-    j = int(np.argmin(dp[:, -1] + step[:, 0]))  # the last column is the full set
-    tour, mask = [0], len(order) - 1
-    while j:
+            cells[at] = _min_plus(dp[:, lo:hi], step)
+    tour, mask = [0], spill - 1  # the bitmask of the full set
+    for _ in range(k - 1):  # each vertex's predecessor, from the one closing the cycle
+        j = int(np.argmin(dp[:, column[mask]] + dist[1:, tour[-1]])) + 1
         tour.append(j)
-        j, mask = int(parent[j, column[mask]]), mask ^ (1 << (j - 1))
-    tour[1:] = reversed(tour[1:])
+        mask ^= 1 << (j - 1)
     return [verts[i] for i in tour]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,15 @@ from independent import (
     rescan_greedy_swap,
     thirds_and_sevenths,
 )
+
+
+def wide_twin(rows, shift):
+    """Each off-diagonal entry x as ``(x << shift) + 1``: every cycle has as
+    many edges as vertices, so tours and ties are those of ``rows``."""
+    return [
+        [0 if i == j else (x << shift) + 1 for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
 
 
 def uniform_matrix(n, c):
@@ -90,11 +100,14 @@ def test_held_karp_size_limits(line4, line22):
 @given(
     n=st.integers(5, 9),
     seed=st.integers(0, 2**32 - 1),
-    box=st.sampled_from([50.0, 1000.0]),  # a small box makes ties common
+    box=st.sampled_from([5.0, 50.0, 1000.0]),  # a small box makes ties common
     rational=st.booleans(),
 )
 def test_held_karp_equals_brute_force(n, seed, box, rational):
+    # of all shortest cycles both return the lexicographically smallest
+    # vertex sequence from the lowest vertex; the brute force shares no DP code
     D = random_euclidean_instance(n, seed, box=box)
+    assert held_karp(D).vertices == brute_force_tsp(D).vertices
     assert held_karp(D).length == brute_force_tsp(D).length
     if rational:
         # the quarter-unit twin runs on exact Fractions and must break every
@@ -126,13 +139,15 @@ def test_held_karp_cap_cannot_be_raised(monkeypatch):
     extra=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
     box=st.sampled_from([20.0, 50.0, 1000.0]),  # ties are common at 20
-    numbers=st.sampled_from(["int64", "quarter", "scaled", "coprime"]),
+    numbers=st.sampled_from(["int64", "quarter", "scaled", "wide", "coprime"]),
     data=st.data(),
 )
 def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
     D = random_euclidean_instance(k + extra, seed, box=box)
     if numbers == "quarter":  # rational twin: an int64 image
         D = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
+    elif numbers == "wide":  # an int64 image past the int32 table
+        D = DistanceMatrix.from_rows(wide_twin(D.d, 32))
     elif numbers == "scaled":  # past the int64 bound until the GCD divides the shift out
         D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
     elif numbers == "coprime":  # no common factor: the DP itself runs on Python ints
@@ -147,14 +162,54 @@ def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
 
 @pytest.mark.parametrize("k", [13, 14, 15, 16])
 def test_held_karp_matches_per_mask_oracle_past_the_property_sizes(k):
-    # a tie-heavy box; the quarter-unit twin must break every tie as the
-    # oracle does on the integers (the oracle itself is too slow on Fractions)
+    # a tie-heavy box; the quarter-unit twin and the wide twin (an int64
+    # table) must break every tie as the oracle does on the integers (the
+    # oracle itself is too slow on Fractions)
     D = random_euclidean_instance(k, k, box=20.0)
     Q = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
+    W = DistanceMatrix.from_rows(wide_twin(D.d, 32))
     oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
-    tour, twin = held_karp(D), held_karp(Q)
+    tour, twin, wide = held_karp(D), held_karp(Q), held_karp(W)
     assert tour == oracle
     assert twin.vertices == oracle.vertices and twin.length == Fraction(oracle.length, 4)
+    assert wide.vertices == oracle.vertices and wide.length == (oracle.length << 32) + k
+
+
+@pytest.mark.parametrize("k", [6, 10])
+@pytest.mark.parametrize("past", [0, 1])
+def test_held_karp_table_dtype_boundary(k, past):
+    # the table is int32 while its sentinel k * max + 1 plus one step of max
+    # stays below 2^31; 2^31 - 2 is a multiple of k + 1, so max = (2^31 - 2)
+    # / (k + 1) puts that sum at 2^31 - 1, and one more puts it past 2^31.
+    # Every entry is within 30 of max, so an int32 sum past the bound would wrap
+    top = ((1 << 31) - 2) // (k + 1) + past
+    assert (k + 1) * top + 1 == (1 << 31) - 1 + past * (k + 1)
+    near = random_euclidean_instance(k, k, box=20.0).d
+    low = min(x for row in near for x in row if x)
+    D = DistanceMatrix.from_rows(
+        [[0 if i == j else top - x + low for j, x in enumerate(row)]
+         for i, row in enumerate(near)]
+    )
+    assert D.array.max() == top and D.array.dtype == np.int64
+    oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
+    assert held_karp(D) == oracle
+
+
+def test_held_karp_memory_is_the_int32_table():
+    # k=18 in int32: a (17, 2^17 + 1) table of 8.9 MB and no parent table.
+    # Twice that leaves room for the index arrays and block temporaries, and
+    # an int64 table alone would not fit
+    k = 18
+    D = random_euclidean_instance(k, 1)
+    table = (k - 1) * ((1 << (k - 1)) + 1) * 4
+    tracemalloc.start()
+    try:
+        tour = held_karp(D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tour.vertices) == k
+    assert peak < 2 * table
 
 
 def test_mixed_denominators_take_the_tour_of_their_integer_twin():
