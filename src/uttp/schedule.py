@@ -40,6 +40,17 @@ class Schedule:
         return self.opp[team][slot], self.home[team][slot]
 
 
+def _circle_rows(n: int) -> np.ndarray:
+    """``circle_schedule(n)`` as an (n, n-1) array."""
+    if n < 4 or n % 2 != 0:
+        raise ScheduleError(f"need an even team count >= 4, got {n}")
+    s, t = np.arange(n - 1), np.arange(n - 1)[:, None]  # slot, team
+    r = (s - t) % (n - 1)
+    rows = np.where(r == t, n - 1, r)
+    last = np.where(s % 2 == 0, s // 2, (s + n - 1) // 2)
+    return np.vstack([rows, last])
+
+
 def circle_schedule(n: int) -> tuple[tuple[int, ...], ...]:
     """Classical circle-method single round robin over slots 0..n-2, as
     rows indexed [team][slot] -> opponent; venues are not assigned.
@@ -48,13 +59,17 @@ def circle_schedule(n: int) -> tuple[tuple[int, ...], ...]:
     where that value folds back onto t itself, which is its game against
     team n-1. Team n-1 walks 0, n/2, 1, n/2+1, ... across the slots.
     """
-    if n < 4 or n % 2 != 0:
-        raise ScheduleError(f"need an even team count >= 4, got {n}")
-    s, t = np.arange(n - 1), np.arange(n - 1)[:, None]  # slot, team
-    r = (s - t) % (n - 1)
-    rows = np.where(r == t, n - 1, r)
-    last = np.where(s % 2 == 0, s // 2, (s + n - 1) // 2)
-    return tuple(map(tuple, np.vstack([rows, last]).tolist()))
+    return tuple(map(tuple, _circle_rows(n).tolist()))
+
+
+def _base_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed forms of ``mirror_and_assign(n)`` as arrays: the circle
+    schedule, (n, n-1), whose rows the 2n-2 slots repeat twice, and the
+    home flags, (n, 2n-2)."""
+    s, t = np.arange(2 * n - 2), np.arange(n)[:, None]
+    home = np.where(t < n // 2, (2 * t <= s) & (s <= n + 2 * t - 2), (s < 2 * t - n + 2) | (s > 2 * t))
+    home[n - 1] = s > n - 2
+    return _circle_rows(n), home
 
 
 def mirror_and_assign(n: int) -> Schedule:
@@ -66,10 +81,8 @@ def mirror_and_assign(n: int) -> Schedule:
     flags come from these closed forms as one boolean array, and are
     returned as Python bools.
     """
-    s, t = np.arange(2 * n - 2), np.arange(n)[:, None]
-    home = np.where(t < n // 2, (2 * t <= s) & (s <= n + 2 * t - 2), (s < 2 * t - n + 2) | (s > 2 * t))
-    home[n - 1] = s > n - 2
-    opp = tuple(row + row for row in circle_schedule(n))
+    circle, home = _base_arrays(n)
+    opp = tuple(row + row for row in map(tuple, circle.tolist()))
     return Schedule(n=n, opp=opp, home=tuple(map(tuple, home.tolist())))
 
 

@@ -68,7 +68,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instance import DistanceMatrix, Number
-from .schedule import Schedule, mirror_and_assign, relabel, rotate
+from .schedule import Schedule, _base_arrays, mirror_and_assign, relabel, rotate
 from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, cycle_length, held_karp
 
 DIRECTIONS = ("forward", "reversed")
@@ -186,7 +186,8 @@ class ScheduleFamily:
 
 def schedule_family(n: int) -> ScheduleFamily:
     base = mirror_and_assign(n)
-    host = np.where(np.array(base.home), np.arange(n)[:, None], np.array(base.opp, dtype=np.intp))
+    circle, home = _base_arrays(n)  # base as arrays, from the same closed forms
+    host = np.where(home, np.arange(n)[:, None], np.hstack([circle, circle]))
     L = 2 * n - 2
     return ScheduleFamily(n, base, host[:, (np.arange(L + 1) - 1) % L])
 

@@ -27,14 +27,23 @@ parent table is kept: the tour is walked back from the full set, each step
 taking the first minimizing predecessor by ``np.argmin`` over the same sums,
 so the tours equal those of a per-mask DP. ``HELD_KARP_CAP`` is the one
 size limit on an exact tour, and no argument moves it.
+
+Where each step reads and writes depends on k alone: the popcount order of
+the sets, each set's column, and per block the cell that every set plus
+every next vertex lands in. ``_hk_plan`` builds that addressing. Up to
+``HK_KEEP_MAX`` = 16 vertices it is built once per k and kept, read-only:
+2.0 MB at k=16, about 4 MB for all k up to 16. Past that a kept plan would
+be as large as the table itself, so each call builds its blocks one at a
+time as they are used. The popcount order is kept for every bit count.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +55,9 @@ MATCHING_EXACT_MAX = 16
 # 2.4's broadcast adds ran 2-3x slower per element on rows of 2560 or fewer
 # (2-vCPU x86-64 host), and no faster on rows past 3072.
 HK_BLOCK = 3072
+# the largest k whose Held-Karp addressing is kept across calls: 2.0 MB at
+# k=16, while at k=18 it would be 8.9 MB, as large as the int32 table
+HK_KEEP_MAX = 16
 
 
 class TspError(ValueError):
@@ -134,16 +146,20 @@ def held_karp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = None) -> 
     return Tour.from_vertices(D, _held_karp(D, verts))
 
 
+@functools.cache
 def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The subsets of range(bits) as bitmasks sorted by size, then value,
     and where each size starts: ``order[start[p]:start[p + 1]]`` are the
-    p-element subsets. Both subset DPs fill their tables in this order."""
+    p-element subsets. Both subset DPs fill their tables in this order.
+    Computed once per bit count; both arrays are read-only."""
     masks = np.arange(1 << bits)
     size = np.zeros(1 << bits, dtype=np.int8)
     for b in range(bits):
         size += (masks >> b) & 1
+    order = np.argsort(size, kind="stable")
     start = np.concatenate(([0], np.cumsum(np.bincount(size))))
-    return np.argsort(size, kind="stable"), start
+    order.flags.writeable = start.flags.writeable = False
+    return order, start
 
 
 def _min_plus(src: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -154,6 +170,47 @@ def _min_plus(src: np.ndarray, step: np.ndarray) -> np.ndarray:
     for i in range(1, len(step)):
         np.minimum(out, np.add(src[i], step[i, :, None], out=via), out=out)
     return out
+
+
+def _hk_plan(k: int, dtype: type) -> tuple[np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
+    """The Held-Karp table's addressing for k vertices, which depends on k
+    alone: ``column``, the table column of each bitmask, and, built one
+    block at a time as they are consumed, the blocks ``(lo, hi, at)`` in
+    fill order. Columns lo..hi-1 are a block of one popcount layer, and
+    ``at[j - 1, c]`` is the flat index in the table of the cell that the
+    set of column lo + c plus next vertex j lands in: row j - 1 of the
+    set's column, or of the spill column when j is in the set already.
+    All arrays are read-only, of integer ``dtype``."""
+    order, start = _popcount_order(k - 1)
+    spill = len(order)
+    column = np.empty(spill, dtype=dtype)
+    column[order] = np.arange(spill, dtype=dtype)
+    column.flags.writeable = False
+    rows = np.arange(k - 1, dtype=dtype)
+    bit = (1 << rows)[:, None]  # row j - 1: vertex j's bit
+    offset = (rows * (spill + 1))[:, None]  # row starts in the flat table
+
+    def blocks() -> Iterator[tuple[int, int, np.ndarray]]:
+        for p in range(1, k - 1):
+            for lo in range(start[p], start[p + 1], HK_BLOCK):
+                hi = min(lo + HK_BLOCK, start[p + 1])
+                sets = order[lo:hi]
+                at = np.where(sets & bit, spill, column[sets | bit])  # (k - 1, sets)
+                at += offset
+                at.flags.writeable = False
+                yield lo, hi, at
+
+    return column, blocks()
+
+
+@functools.cache
+def _hk_kept_plan(k: int) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
+    """``_hk_plan(k)`` with its blocks built in full, kept for the life of
+    the process: 2.0 MB at k=16, about 4 MB for every k up to 16, in int32,
+    half of intp. numpy casts int32 indices to intp on every scatter; a
+    plan built per call is intp, since that cast would be its only cost."""
+    column, blocks = _hk_plan(k, np.int32)
+    return column, tuple(blocks)
 
 
 def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
@@ -172,7 +229,9 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     the set holds ``INF``, longer than any Hamilton path, so it is never a
     predecessor. No parent is kept: the tour is walked back from the full
     set, and each step's ``np.argmin`` over the same sums picks the first
-    minimizing predecessor, so the tours are those of a per-mask DP.
+    minimizing predecessor, so the tours are those of a per-mask DP. Where
+    each step lands depends on k alone (``_hk_plan``), and is kept across
+    calls up to ``HK_KEEP_MAX`` vertices.
     """
     k = len(verts)
     dist = D.array[np.ix_(verts, verts)]
@@ -182,24 +241,15 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     INF = k * dist.max() + 1
     if INF + dist.max() < 1 << 31:
         dist = dist.astype(np.int32)
-    order, start = _popcount_order(k - 1)
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    spill = len(order)
+    column, blocks = _hk_kept_plan(k) if k <= HK_KEEP_MAX else _hk_plan(k, np.intp)
+    spill = len(column)
     dp = np.full((k - 1, spill + 1), INF, dtype=dist.dtype)
     rows = np.arange(k - 1)
     dp[rows, rows + 1] = dist[0, 1:]  # the one-vertex sets: order[1 + b] == 1 << b
     step = dist[1:, 1:]
-    bit = (1 << rows)[:, None]  # row j - 1: vertex j's bit
-    offset = (rows * (spill + 1))[:, None]  # row starts in dp.reshape(-1)
     cells = dp.reshape(-1)
-    for p in range(1, k - 1):
-        for lo in range(start[p], start[p + 1], HK_BLOCK):
-            hi = min(lo + HK_BLOCK, start[p + 1])
-            sets = order[lo:hi]
-            at = np.where(sets & bit, spill, column[sets | bit])  # (k - 1, sets)
-            at += offset
-            cells[at] = _min_plus(dp[:, lo:hi], step)
+    for lo, hi, at in blocks:
+        cells[at] = _min_plus(dp[:, lo:hi], step)
     tour, mask = [0], spill - 1  # the bitmask of the full set
     for _ in range(k - 1):  # each vertex's predecessor, from the one closing the cycle
         j = int(np.argmin(dp[:, column[mask]] + dist[1:, tour[-1]])) + 1

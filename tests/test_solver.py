@@ -163,18 +163,17 @@ def test_tables_match_rotated_walks(n, seed, rational, data):
 
 
 def test_schedule_family_matches_tuple_construction():
-    # the base schedule and prev[t, m] = host[t, (m-1) mod L], from the
-    # tuple-by-tuple construction
+    # the base schedule, and prev[t, m] = host[t, (m-1) mod L] with host
+    # derived from the tuple-by-tuple construction, not from the closed
+    # forms schedule_family reads; prev's L + 1 columns hold every column of
+    # host
     for n in range(4, 62, 2):
         opp, home = tuple_mirror_and_assign(n)
         family = schedule_family(n)
         assert family.base == Schedule(n=n, opp=opp, home=home)
         L = 2 * n - 2
-        prev = [
-            [t if home[t][(m - 1) % L] else opp[t][(m - 1) % L] for m in range(L + 1)]
-            for t in range(n)
-        ]
-        assert family.prev.tolist() == prev
+        host = [[t if home[t][s] else opp[t][s] for s in range(L)] for t in range(n)]
+        assert family.prev.tolist() == [[row[(m - 1) % L] for m in range(L + 1)] for row in host]
 
 
 def _symmetric(n, entries):

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -152,7 +154,10 @@ def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
         D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
     elif numbers == "coprime":  # no common factor: the DP itself runs on Python ints
         D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
-    assert (D.array.dtype == object) == (numbers == "coprime")
+    # coprime entries put the DP on Python ints unless they share a factor,
+    # which the image divides out (three equal distances at k=3, say)
+    big = numbers == "coprime" and math.gcd(*chain.from_iterable(D.d)) == 1
+    assert (D.array.dtype == object) == big
     verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
     tour = held_karp(D, vertex_set=verts)
     oracle = Tour.from_vertices(D, per_mask_held_karp(D, verts))
@@ -161,18 +166,66 @@ def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, data):
 
 
 @pytest.mark.parametrize("k", [13, 14, 15, 16])
-def test_held_karp_matches_per_mask_oracle_past_the_property_sizes(k):
+def test_held_karp_matches_per_mask_oracle_past_the_property_sizes(k, monkeypatch):
     # a tie-heavy box; the quarter-unit twin and the wide twin (an int64
     # table) must break every tie as the oracle does on the integers (the
-    # oracle itself is too slow on Fractions)
+    # oracle itself is too slow on Fractions), on the kept addressing and
+    # on the one built block by block on every call past HK_KEEP_MAX
     D = random_euclidean_instance(k, k, box=20.0)
     Q = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
     W = DistanceMatrix.from_rows(wide_twin(D.d, 32))
     oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
-    tour, twin, wide = held_karp(D), held_karp(Q), held_karp(W)
-    assert tour == oracle
-    assert twin.vertices == oracle.vertices and twin.length == Fraction(oracle.length, 4)
-    assert wide.vertices == oracle.vertices and wide.length == (oracle.length << 32) + k
+    for keep in (uttp.tsp.HK_KEEP_MAX, 2):
+        monkeypatch.setattr(uttp.tsp, "HK_KEEP_MAX", keep)
+        tour, twin, wide = held_karp(D), held_karp(Q), held_karp(W)
+        assert tour == oracle
+        assert twin.vertices == oracle.vertices and twin.length == Fraction(oracle.length, 4)
+        assert wide.vertices == oracle.vertices and wide.length == (oracle.length << 32) + k
+
+
+def test_held_karp_reuses_each_size_addressing():
+    # one process, sizes in an order that returns to k=16 after smaller
+    # tables, on int32, int64 and object tables: every call must read the
+    # addressing kept for its own k, with no trace of an earlier call. 15
+    # after 14 and 16 catches a plan kept under a neighbouring size's key
+    for seed, (k, numbers) in enumerate(
+        [(16, "int64"), (14, "wide"), (15, "int64"), (16, "coprime"), (12, "coprime"), (16, "wide")]
+    ):
+        D = random_euclidean_instance(k, seed, box=20.0)
+        if numbers == "wide":
+            D = DistanceMatrix.from_rows(wide_twin(D.d, 32))
+        elif numbers == "coprime":
+            D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
+        oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
+        assert held_karp(D) == oracle, (k, numbers)
+
+
+def test_held_karp_kept_arrays_are_read_only():
+    # the kept addressing and popcount order are shared by every later call
+    held_karp(random_euclidean_instance(14, 1))
+    column, blocks = uttp.tsp._hk_kept_plan(14)
+    order, start = uttp.tsp._popcount_order(13)
+    for kept in (column, blocks[0][2], blocks[-1][2], order, start):
+        with pytest.raises(ValueError):
+            kept[(0,) * kept.ndim] = 1
+
+
+def test_held_karp_later_call_allocates_only_its_table():
+    # k=16: a (15, 2^15 + 1) int32 table of 2.0 MB. The first call keeps the
+    # 2.0 MB addressing; a later one allocates the table and its block
+    # temporaries only, where rebuilding the addressing would reach 2x
+    k = 16
+    held_karp(random_euclidean_instance(k, 1))
+    D = random_euclidean_instance(k, 2)
+    table = (k - 1) * ((1 << (k - 1)) + 1) * 4
+    tracemalloc.start()
+    try:
+        tour = held_karp(D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tour.vertices) == k
+    assert peak < 1.5 * table
 
 
 @pytest.mark.parametrize("k", [6, 10])
