@@ -7,6 +7,7 @@ callers can report exactly what broke instead of a bare boolean.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,14 +63,20 @@ def circle_schedule(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _circle_rows(n).tolist()))
 
 
+@functools.lru_cache(maxsize=8)
 def _base_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The closed forms of ``mirror_and_assign(n)`` as arrays: the circle
     schedule, (n, n-1), whose rows the 2n-2 slots repeat twice, and the
-    home flags, (n, 2n-2)."""
+    home flags, (n, 2n-2). Both are read-only and kept for the eight team
+    counts used last, so a solve, which reads them through
+    ``mirror_and_assign`` and ``schedule_family``, evaluates them once per
+    team count."""
     s, t = np.arange(2 * n - 2), np.arange(n)[:, None]
     home = np.where(t < n // 2, (2 * t <= s) & (s <= n + 2 * t - 2), (s < 2 * t - n + 2) | (s > 2 * t))
     home[n - 1] = s > n - 2
-    return _circle_rows(n), home
+    circle = _circle_rows(n)
+    circle.flags.writeable = home.flags.writeable = False
+    return circle, home
 
 
 def mirror_and_assign(n: int) -> Schedule:
