@@ -3,7 +3,9 @@
 Every inequality the solver's output is supposed to satisfy on metric input
 is recomputed here with exact arithmetic (ints and Fractions, never floats)
 and reported with its slack, so a near-violation is visible long before it
-becomes a violation.
+becomes a violation. Every sum of distances is taken on the integer image
+``DistanceMatrix.array`` and scaled by ``DistanceMatrix.unit``; Fractions
+are built only for the reported checks.
 """
 
 from __future__ import annotations
@@ -98,11 +100,10 @@ def certify(
       ratio       the reported total <= ratio_bound * n * tau
     """
     n = D.n
-    d = D.d
+    unit = D.unit
     checks: list[CheckResult] = []
 
-    max_edge = max(d[i][j] for i in range(n) for j in range(i + 1, n))
-    checks.append(CheckResult("edge_max", 2 * max_edge, tau))
+    checks.append(CheckResult("edge_max", 2 * int(D.array.max()) * unit, tau))
 
     mapping = team_assignment(cycle, 0, "forward")
     l_a, _ = evaluate_assumption_a(family.base, mapping, D)
@@ -111,16 +112,18 @@ def certify(
         produced.append(cycle.full_tour.length)
     checks.append(CheckResult("hamilton", 2 * max(produced), n * tau))
 
-    pair_sum = D.pair_sum()
+    row = D.array.sum(axis=1).tolist()  # d[v][v] = 0: each venue's distances to the others
+    pair_sum = sum(row) * unit
     checks.append(CheckResult("pair_sum", 4 * pair_sum, n * n * tau))
 
-    pivot_sum = D.row_sum(cycle.pivot)
+    pivot_sum = row[cycle.pivot] * unit
     checks.append(CheckResult("pivot_sum", 4 * pivot_sum, n * tau))
 
-    rows: list[list[Exact]] = athome_table(D, family, mapping).tolist()
-    M = len(rows)
-    totals = [sum(row) for row in rows]
-    avg = Fraction(sum(totals), M) * D.unit
+    # per team, its athome travel summed over the M slot rotations:
+    # (2n-1) * M < 4n^2 entries, which fits int64 since 4n^2 * max < 2^63
+    team_sum = athome_table(D, family, mapping).sum(axis=0).tolist()
+    M = 2 * n - 2
+    avg = Fraction(sum(team_sum), M) * unit
     rhs = (
         (n - 2) * Fraction(cycle.cycle_length)
         + 2 * Fraction(pivot_sum)
@@ -130,18 +133,13 @@ def certify(
     )
     checks.append(CheckResult("avg_bound", avg, rhs))
 
-    tightest: Optional[CheckResult] = None
-    for t in range(n):
-        team_avg = Fraction(sum(rows[m][t] for m in range(M)), M) * D.unit
-        team_rhs = Fraction(l_a[t]) + Fraction(D.row_sum(mapping[t])) / (n - 1)
-        c = CheckResult("team_avg", team_avg, team_rhs)
-        if not c.ok:
-            tightest = c
-            break
-        if tightest is None or c.slack < tightest.slack:
-            tightest = c
-    assert tightest is not None
-    checks.append(tightest)
+    # team_avg's slack times M: M * l_a[t] + 2 * row[mapping[t]] - team_sum[t]
+    # in input units. The first failing team is reported, else the first
+    # of least slack.
+    slack = [M * l_a[t] + (2 * row[mapping[t]] - team_sum[t]) * unit for t in range(n)]
+    t = next((t for t in range(n) if slack[t] < 0), min(range(n), key=slack.__getitem__))
+    team_rhs = Fraction(l_a[t]) + Fraction(row[mapping[t]] * unit) / (n - 1)
+    checks.append(CheckResult("team_avg", Fraction(team_sum[t], M) * unit, team_rhs))
 
     checks.append(CheckResult("best_le_avg", Fraction(total), avg))
     checks.append(CheckResult("ratio", Fraction(total), ratio_bound * n * Fraction(tau)))

@@ -56,9 +56,12 @@ class DistanceMatrix:
     # The distances as an (n, n) array of integers, built once per matrix by
     # _as_integers: d[i][j] == array[i, j] * unit, and a positive scale
     # keeps every comparison of sums. int64 when 2n^2 * max entry < 2^62, so
-    # any sum of up to 2n^2 entries (a whole schedule's travel, splice terms
-    # included) fits; otherwise dtype=object holding exact Python ints, on
-    # which the same numpy code stays exact. Read-only: every caller shares it.
+    # any sum of fewer than 4n^2 entries fits: a whole schedule's travel with
+    # its splice terms, or the certificate's sum of one team's travel over
+    # all 2n-2 slot rotations, (2n-1)(2n-2) entries. Otherwise dtype=object
+    # holding exact Python ints, on which the same numpy code stays exact.
+    # Every travel and tour length is a sum on this array times unit.
+    # Read-only: every caller shares it.
     array: np.ndarray = field(repr=False, compare=False)
     unit: Number = field(repr=False, compare=False)  # an int, or a Fraction for rational d
 
@@ -88,13 +91,6 @@ class DistanceMatrix:
                     )
         metric = not _metric_violations(d, a, cap=1)
         return cls(n=n, d=d, metric=metric, array=a, unit=unit)
-
-    def row_sum(self, i: int) -> Number:
-        return sum(self.d[i][j] for j in range(self.n) if j != i)
-
-    def pair_sum(self) -> Number:
-        """Sum of d[v][v'] over all ordered pairs v != v'."""
-        return sum(self.row_sum(i) for i in range(self.n))
 
 
 def _fits_int64(n: int, entries: Iterable[int]) -> bool:

@@ -52,11 +52,13 @@ cumulative sum over r. Six team rows per labeling is O(n^2) work and memory
 for the whole (n-1) x (2n-2) table of each direction, which still prices
 every candidate.
 
-The scan reads DistanceMatrix.array, the integer image of the distances, so
-its totals are in units of DistanceMatrix.unit; solve scales only what it
-reports. Every partial sum of the cumulative sum is a candidate total, and
+Every travel sum here (the scan, both rule evaluators and the re-walk that
+checks the winner) reads DistanceMatrix.array, the integer image of the
+distances, and is scaled by DistanceMatrix.unit once, into the number type
+of D.d. Every partial sum of the cumulative sum is a candidate total, and
 every step a difference of two, so the int64 bound of the image covers them;
-an object image (integers past that bound) runs the same code exactly.
+an object image (integers past that bound) runs the same code exactly. The
+re-walk walks the built schedule and shares no code with the scan.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import numpy as np
 
 from .instance import DistanceMatrix, Number
 from .schedule import Schedule, _base_arrays, mirror_and_assign, relabel, rotate
-from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, cycle_length, held_karp
+from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, held_karp
 
 DIRECTIONS = ("forward", "reversed")
 
@@ -124,12 +126,11 @@ def team_assignment(cycle: PivotedCycle, r: int, direction: str) -> tuple[int, .
     return tuple(mapping)
 
 
-def _venues(sched: Schedule, mapping: Sequence[int], team: int) -> list[int]:
-    home_v = mapping[team]
-    return [
-        home_v if sched.home[team][s] else mapping[sched.opp[team][s]]
-        for s in range(sched.num_slots)
-    ]
+def _stops(sched: Schedule, mapping: Sequence[int]) -> np.ndarray:
+    """Each team's venue in each slot, shape (n, 2n-2): its own where it
+    plays at home, its opponent's elsewhere."""
+    venue = np.asarray(mapping)
+    return np.where(np.array(sched.home, dtype=bool), venue[:, None], venue[np.array(sched.opp)])
 
 
 def evaluate_athome(
@@ -141,18 +142,10 @@ def evaluate_athome(
     venue to venue directly. Assumes a feasible schedule and a bijective
     team-to-venue mapping.
     """
-    d = D.d
-    per_team = []
-    for t in range(sched.n):
-        home_v = mapping[t]
-        dist: Number = 0
-        prev = home_v
-        for v in _venues(sched, mapping, t):
-            dist += d[prev][v]
-            prev = v
-        dist += d[prev][home_v]
-        per_team.append(dist)
-    return tuple(per_team), sum(per_team)
+    home = np.asarray(mapping)[:, None]
+    walk = np.hstack([home, _stops(sched, mapping), home])
+    per_team = D.array[walk[:, :-1], walk[:, 1:]].sum(axis=1).tolist()
+    return tuple(x * D.unit for x in per_team), sum(per_team) * D.unit
 
 
 def evaluate_assumption_a(
@@ -163,8 +156,9 @@ def evaluate_assumption_a(
     through home. A team at home in an end slot has its home venue at that
     end, so the legs through home are that same direct leg (d[h][h] = 0):
     every team travels the closed walk through its slot venues."""
-    per_team = tuple(cycle_length(D, _venues(sched, mapping, t)) for t in range(sched.n))
-    return per_team, sum(per_team)
+    stops = _stops(sched, mapping)
+    per_team = D.array[stops, np.roll(stops, -1, axis=1)].sum(axis=1).tolist()
+    return tuple(x * D.unit for x in per_team), sum(per_team) * D.unit
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ nothing else, so they take the induced submatrix of
 indices. The vertex set is sorted, so index order is vertex order and every
 tie-break carries over. Scaling by a positive constant keeps every
 comparison, so rational files get the tours and tie-breaks of their integer
-twins, and Fraction arithmetic never runs inside them. Tour lengths and
-matching weights are read from ``DistanceMatrix.d``.
+twins, and Fraction arithmetic never runs inside them. Tour lengths are
+image sums scaled by ``DistanceMatrix.unit`` once; matching weights, which
+no report prints, are read from ``DistanceMatrix.d``.
 
 The Held-Karp table holds plain path lengths from the start vertex, one row
 per last vertex other than the start and one column per set of the other
@@ -76,8 +77,9 @@ def _canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
 
 
 def cycle_length(D: DistanceMatrix, seq: Sequence[int]) -> Number:
-    d = D.d
-    return sum(d[seq[i]][seq[(i + 1) % len(seq)]] for i in range(len(seq)))
+    """Length of the closed walk through ``seq``: image legs, scaled once."""
+    at = np.asarray(seq, dtype=np.intp)
+    return int(D.array[at, np.roll(at, -1)].sum()) * D.unit
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class Tour:
     def from_vertices(cls, D: DistanceMatrix, seq: Sequence[int]) -> "Tour":
         if len(set(seq)) != len(seq):
             raise TspError("tour repeats a vertex")
+        if not all(0 <= v < D.n for v in seq):  # a gather would wrap a negative index
+            raise TspError(f"vertex out of range 0..{D.n - 1}")
         canon = _canonical_cycle(seq)
         return cls(vertices=canon, length=cycle_length(D, canon))
 

@@ -9,13 +9,16 @@ kept as they were so the rewrites can be held to identical output:
 ``dict_prim_mst`` and ``rescan_greedy_swap`` (tie-breaks of the MST and the
 greedy matching on the integer image),
 ``triple_loop_violations`` and ``first_entry_fault`` (the vectorized load
-checks), ``tuple_mirror_and_assign`` (the array-built base schedule) and
-``per_labeling_scan`` (the shift-identity candidate scan). Two more,
+checks), ``tuple_mirror_and_assign`` (the array-built base schedule),
+``per_labeling_scan`` (the shift-identity candidate scan) and
+``fraction_certify`` (the certificate on the integer image). Two more,
 ``assumption_a_route`` and ``assumption_a_table``, are helpers only the
-tests read, moved here out of the package. ``coprime_big`` and
-``thirds_and_sevenths`` make the number formats several test modules load.
+tests read, moved here out of the package. ``coprime_big``,
+``thirds_and_sevenths`` and ``number_kind`` make the number formats several
+test modules load.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +38,28 @@ def thirds_and_sevenths(rows):
     mixed = [[Fraction(x, 21) for x in row] for row in twin]
     assert {Fraction(x).denominator for row in mixed for x in row} == {1, 3, 7}
     return twin, mixed
+
+
+def number_kind(kind, n, seed):
+    """The rows of an n-venue matrix of one number kind: a random Euclidean
+    instance as integers ("int64"), over 4 ("quarter"), as thirds and
+    sevenths ("thirds") or as ``coprime_big`` entries ("coprime"), or
+    arbitrary symmetric zero-diagonal integers ("non-metric", mostly
+    violating the triangle inequality)."""
+    from uttp import random_euclidean_instance
+
+    if kind == "non-metric":
+        rng = random.Random(seed)
+        upper = {(i, j): rng.randint(0, 60) for i in range(n) for j in range(i + 1, n)}
+        return [[0 if i == j else upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    rows = random_euclidean_instance(n, seed).d
+    if kind == "quarter":
+        return [[Fraction(x, 4) for x in row] for row in rows]
+    if kind == "thirds":  # thirds_and_sevenths' matrix; at n=4 it can miss a denominator
+        return [[Fraction(x, 3 if (i + j) % 2 else 7) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    if kind == "coprime":
+        return [[coprime_big(x) for x in row] for row in rows]
+    return rows
 
 
 def route_walk(opp_rows, home_rows, mapping, dist):
@@ -348,3 +373,66 @@ def assumption_a_route(sched, mapping, team):
         route.insert(0, home)  # away every slot never happens, but be total
     i = route.index(home)
     return tuple(route[i:] + route[:i])
+
+
+def fraction_certify(D, cycle, family, tau, *, total, ratio_bound):
+    """The package's earlier ``certify``: every edge, row, pair and cycle sum
+    walked over ``D.d``, and a Fraction check per team for ``team_avg``.
+    Its closed routes come from ``rule_a_walk`` and its cycle lengths from
+    ``cycle_len``; only the rotation table is the package's own. Kept as the
+    oracle for the certificate's checks, values and number types."""
+    from uttp.analysis import BoundCertificate, CheckResult
+    from uttp.solver import athome_table, team_assignment
+
+    n = D.n
+    d = D.d
+
+    def row_sum(i):
+        return sum(d[i][j] for j in range(n) if j != i)
+
+    checks = []
+    max_edge = max(d[i][j] for i in range(n) for j in range(i + 1, n))
+    checks.append(CheckResult("edge_max", 2 * max_edge, tau))
+
+    mapping = team_assignment(cycle, 0, "forward")
+    l_a, _ = rule_a_walk(family.base.opp, family.base.home, mapping, d)
+    cycle_length = cycle_len(d, cycle.cycle)
+    produced = list(l_a) + [cycle_length]
+    if cycle.full_tour is not None:
+        produced.append(cycle_len(d, cycle.full_tour.vertices))
+    checks.append(CheckResult("hamilton", 2 * max(produced), n * tau))
+
+    pair_sum = sum(row_sum(i) for i in range(n))
+    checks.append(CheckResult("pair_sum", 4 * pair_sum, n * n * tau))
+
+    pivot_sum = row_sum(cycle.pivot)
+    checks.append(CheckResult("pivot_sum", 4 * pivot_sum, n * tau))
+
+    rows = athome_table(D, family, mapping).tolist()
+    M = len(rows)
+    totals = [sum(row) for row in rows]
+    avg = Fraction(sum(totals), M) * D.unit
+    rhs = (
+        (n - 2) * Fraction(cycle_length)
+        + 2 * Fraction(pivot_sum)
+        + Fraction(3, 2) * Fraction(tau)
+        + Fraction(n, 2) * Fraction(tau)
+        + Fraction(pair_sum) / (n - 1)
+    )
+    checks.append(CheckResult("avg_bound", avg, rhs))
+
+    tightest = None
+    for t in range(n):
+        team_avg = Fraction(sum(rows[m][t] for m in range(M)), M) * D.unit
+        team_rhs = Fraction(l_a[t]) + Fraction(row_sum(mapping[t])) / (n - 1)
+        c = CheckResult("team_avg", team_avg, team_rhs)
+        if not c.ok:
+            tightest = c
+            break
+        if tightest is None or c.slack < tightest.slack:
+            tightest = c
+    checks.append(tightest)
+
+    checks.append(CheckResult("best_le_avg", Fraction(total), avg))
+    checks.append(CheckResult("ratio", Fraction(total), ratio_bound * n * Fraction(tau)))
+    return BoundCertificate(checks=tuple(checks))

@@ -280,8 +280,8 @@ def test_criterion_7_average_bounds(random_suite):
         D, n = rec.D, rec.n
         tau = rec.exact_report.tau
         tau_prime = rec.pivoted.cycle_length
-        pair_sum = D.pair_sum()
-        pivot_sum = D.row_sum(rec.pivoted.pivot)
+        pair_sum = sum(D.d[i][j] for i in range(n) for j in range(n))
+        pivot_sum = sum(D.d[rec.pivoted.pivot])  # d[v][v] = 0
         rhs = (
             (n - 2) * Fraction(tau_prime)
             + 2 * Fraction(pivot_sum)
@@ -301,7 +301,7 @@ def test_criterion_7_average_bounds(random_suite):
                 l_a, _ = evaluate_assumption_a(rec.family.base, mapping, D)
                 for t in range(n):
                     team_mean = Fraction(sum(rows[m][t] for m in range(M)), M)
-                    team_rhs = l_a[t] + Fraction(D.row_sum(mapping[t]), n - 1)
+                    team_rhs = l_a[t] + Fraction(sum(D.d[mapping[t]]), n - 1)
                     if team_mean > team_rhs:
                         failures.append(
                             f"record {idx}: team {t} mean exceeds its bound"

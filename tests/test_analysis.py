@@ -1,5 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from uttp import (
     DistanceMatrix,
     certify,
@@ -14,7 +19,7 @@ from uttp.solver import schedule_family, team_assignment
 from uttp.tsp import build_pivoted_cycle, held_karp
 
 from conftest import benchmark
-from independent import mean, route_walk
+from independent import fraction_certify, mean, number_kind, route_walk, rule_a_walk
 
 
 def test_lower_bound_values(nl8, zeros4):
@@ -123,4 +128,53 @@ def test_certify_direct_call(nl4):
     )
     assert cert.check("ratio").rhs == Fraction(9, 4) * 4 * 2011
     assert cert.check("hamilton").rhs == 4 * 2011
+    assert cert.all_ok
+
+
+def typed_checks(cert):
+    return [(c.name, c.lhs, type(c.lhs), c.rhs, type(c.rhs)) for c in cert.checks]
+
+
+def certify_against_oracle(D, mode):
+    """Solve D, check its certificate against ``fraction_certify`` check by
+    check in value and number type, and return the certificate and the
+    canonical labeling's closed-route lengths walked on D.d."""
+    report, _ = solve(D, mode=mode)
+    pc = build_pivoted_cycle(D, mode=mode)
+    family = schedule_family(D.n)
+    want = fraction_certify(
+        D, pc, family, report.tau, total=report.total_distance, ratio_bound=report.ratio_bound
+    )
+    assert typed_checks(report.certificate) == typed_checks(want)
+    base = family.base
+    l_a, _ = rule_a_walk(base.opp, base.home, team_assignment(pc, 0, "forward"), D.d)
+    return report.certificate, l_a
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["int64", "quarter", "thirds", "coprime", "non-metric"]),
+    mode=st.sampled_from(["exact", "christofides"]),
+    half=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_matches_fraction_oracle(kind, mode, half, seed):
+    n = 2 * half
+    D = DistanceMatrix.from_rows(number_kind(kind, n, seed))
+    cert, l_a = certify_against_oracle(D, mode)
+    # a team's mean over the 2n-2 rotations is its closed route times
+    # (1 - 1/(2n-2)) plus its row sum/(n-1), so team_avg's slack is the least
+    # closed route over 2n-2, metric or not
+    assert cert.check("team_avg").slack == Fraction(min(l_a), 2 * n - 2)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_certificate_at_the_int64_bound(n):
+    # the largest entry an int64 image takes: one team's athome travel summed
+    # over all 2n-2 rotations, (2n-1)(2n-2) entries, passes 2^62 but not 2^63
+    c = ((1 << 62) - 1) // (2 * n * n)
+    D = DistanceMatrix.from_rows([[0 if i == j else c for j in range(n)] for i in range(n)])
+    assert D.array.dtype == np.int64 and D.unit == 1
+    assert 1 << 62 < (2 * n - 1) * (2 * n - 2) * c < 1 << 63
+    cert, _ = certify_against_oracle(D, "exact")
     assert cert.all_ok

@@ -30,13 +30,15 @@ from uttp.solver import (
     schedule_family,
 )
 import uttp.tsp
-from uttp.tsp import PivotedCycle
+from uttp.tsp import PivotedCycle, cycle_length
 
 from independent import (
     assumption_a_route,
     assumption_a_table,
     coprime_big,
+    cycle_len,
     mean,
+    number_kind,
     per_labeling_scan,
     route_walk,
     rule_a_walk,
@@ -293,6 +295,37 @@ def test_assumption_a_matches_rule_walk(n, quarter, data):
     ref_per_team, ref_total = rule_a_walk(sched.opp, sched.home, mapping, D.d)
     assert list(per_team) == ref_per_team
     assert total == ref_total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["int64", "quarter", "thirds", "coprime", "non-metric"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_image_sums_match_walks_in_value_and_type(kind, seed, data):
+    # the re-walk, the first/last-slot rule and cycle lengths, all summed on
+    # the integer image, against walks over D.d: ints for integral input,
+    # object images included, and Fractions for rational input
+    n = 2 * data.draw(st.integers(2, 8), label="n/2")
+    D = DistanceMatrix.from_rows(number_kind(kind, n, seed))
+    number = Fraction if kind in ("quarter", "thirds") else int
+    m = data.draw(st.integers(0, 2 * n - 3))
+    perm = data.draw(st.permutations(range(n)))
+    mapping = data.draw(st.permutations(range(n)))
+    sched = relabel(rotate(mirror_and_assign(n), m), perm)
+    walks = [
+        (evaluate_athome(sched, mapping, D), route_walk(sched.opp, sched.home, mapping, D.d)),
+        (evaluate_assumption_a(sched, mapping, D), rule_a_walk(sched.opp, sched.home, mapping, D.d)),
+    ]
+    for (per_team, total), (ref_per_team, ref_total) in walks:
+        assert [(x, type(x)) for x in per_team] == [(x, type(x)) for x in ref_per_team]
+        assert (total, type(total)) == (ref_total, type(ref_total))
+        assert {type(x) for x in per_team} == {type(total)} == {number}
+    seq = mapping[: data.draw(st.integers(1, n))]
+    length, ref = cycle_length(D, seq), cycle_len(D.d, seq)
+    assert (length, type(length)) == (ref, type(ref))
+    assert type(length) is number
 
 
 def expected_route(mapping, n, t):

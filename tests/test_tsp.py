@@ -92,6 +92,13 @@ def test_held_karp_nl4(nl4):
     assert cycle_length(nl4, tour.vertices) == tour.length
 
 
+@pytest.mark.parametrize("seq", [[0, 1, 2, -1], [0, 1, 2, 4]])
+def test_tour_vertices_must_be_in_range(nl4, seq):
+    # -1 must not wrap around to vertex 3, nor 4 raise a bare IndexError
+    with pytest.raises(TspError, match=r"out of range 0\.\.3"):
+        Tour.from_vertices(nl4, seq)
+
+
 def test_held_karp_size_limits(line4, line22):
     with pytest.raises(TspError):
         held_karp(line4, vertex_set=[0, 1])
