@@ -2,11 +2,14 @@
 
 Instance files are plain text: whitespace-separated numbers, either exactly
 n*n tokens (row-major square matrix) or a leading token n followed by n*n
-tokens. Integral files parse to ints; a file with any other token parses to
-exact ``Fraction``s throughout, so downstream arithmetic never accumulates
-float error and never mixes ints with Fractions. Every numeric step runs on
-one integer image of the entries, made at load (``DistanceMatrix.array``),
-and reports go back to input units through ``DistanceMatrix.unit``.
+tokens. Integral files keep int values; a file with any other token has
+exact ``Fraction`` values throughout, so downstream arithmetic never
+accumulates float error and never mixes ints with Fractions. A matrix
+stores one form of its entries, an integer image made at load
+(``DistanceMatrix.array``) and a scale back to input units
+(``DistanceMatrix.unit``). Every numeric step runs on the image;
+``DistanceMatrix.d``, the values in input units, is derived from it on
+first read.
 
 Loading checks entries with numpy, a few rows at a time (no (n, n, n)
 tensor), and walks in Python only the entries it flags, so error texts and
@@ -15,6 +18,7 @@ tensor), and walks in Python only the entries it flags, so error texts and
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -42,55 +46,69 @@ class MetricViolation:
     deficit: Number  # d[i][k] - (d[i][j] + d[j][k]), strictly positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric nonnegative distances between n team venues.
 
     ``metric`` records whether the triangle inequality held at load time;
     solvers run on non-metric input but mark their ratio guarantees void.
+    Equality and hashing are by value: int rows equal the same values given
+    as Fractions.
     """
 
     n: int
-    d: tuple[tuple[Number, ...], ...]
     metric: bool
-    # The distances as an (n, n) array of integers, built once per matrix by
-    # _as_integers: d[i][j] == array[i, j] * unit, and a positive scale
-    # keeps every comparison of sums. int64 when 2n^2 * max entry < 2^62, so
-    # any sum of fewer than 4n^2 entries fits: a whole schedule's travel with
-    # its splice terms, or the certificate's sum of one team's travel over
-    # all 2n-2 slot rotations, (2n-1)(2n-2) entries. Otherwise dtype=object
-    # holding exact Python ints, on which the same numpy code stays exact.
-    # Every travel and tour length is a sum on this array times unit.
-    # Read-only: every caller shares it.
-    array: np.ndarray = field(repr=False, compare=False)
-    unit: Number = field(repr=False, compare=False)  # an int, or a Fraction for rational d
+    # The distances as an (n, n) array of integers, the only stored form,
+    # built once per matrix by _as_integers: d[i][j] == array[i, j] * unit,
+    # and a positive scale keeps every comparison of sums. int64 when
+    # 2n^2 * max entry < 2^62, so any sum of fewer than 4n^2 entries fits: a
+    # whole schedule's travel with its splice terms, or the certificate's
+    # sum of one team's travel over all 2n-2 slot rotations, (2n-1)(2n-2)
+    # entries. Otherwise dtype=object holding exact Python ints, on which
+    # the same numpy code stays exact. Every travel and tour length is a sum
+    # on this array times unit. Read-only: every caller shares it.
+    array: np.ndarray = field(repr=False)
+    unit: Number = field(repr=False)  # an int, or a Fraction for rational input
+
+    @functools.cached_property
+    def d(self) -> tuple[tuple[Number, ...], ...]:
+        """The distances in input units, derived from the image on first
+        read: ints for integral input, Fractions otherwise."""
+        unit = self.unit
+        return tuple(tuple(x * unit for x in row) for row in self.array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.metric, self.d) == (other.n, other.metric, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.metric, self.d))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Number]]) -> "DistanceMatrix":
-        d = tuple(tuple(row) for row in rows)
-        integral = all(issubclass(t, int) for t in set(map(type, chain.from_iterable(d))))
-        if not integral:
-            # one number type per matrix: a sum of entries has one type too
-            d = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in d)
-        n = len(d)
-        if n < 1 or any(len(row) != n for row in d):
+        rows = [list(row) for row in rows]
+        n = len(rows)
+        if n < 1 or any(len(row) != n for row in rows):
             raise InstanceError("distance matrix must be square")
-        a, unit = _as_integers(d, integral)
+        a, unit = _as_integers(rows)
         a.flags.writeable = False
         faulty = (a.diagonal() != 0) | (a < 0).any(axis=1) | (a != a.T).any(axis=1)
         if faulty.any():
             i = int(np.argmax(faulty))  # the first row the walk below fails on
-            if d[i][i] != 0:
-                raise InstanceError(f"nonzero diagonal entry at ({i},{i}): {d[i][i]}")
+            row, col = a[i].tolist(), a[:, i].tolist()
+            if row[i] != 0:
+                raise InstanceError(f"nonzero diagonal entry at ({i},{i}): {row[i] * unit}")
             for j in range(n):
-                if d[i][j] < 0:
-                    raise InstanceError(f"negative distance at ({i},{j}): {d[i][j]}")
-                if d[i][j] != d[j][i]:
+                if row[j] < 0:
+                    raise InstanceError(f"negative distance at ({i},{j}): {row[j] * unit}")
+                if row[j] != col[j]:
                     raise InstanceError(
-                        f"asymmetric entries ({i},{j})={d[i][j]} vs ({j},{i})={d[j][i]}"
+                        f"asymmetric entries ({i},{j})={row[j] * unit} "
+                        f"vs ({j},{i})={col[j] * unit}"
                     )
-        metric = not _metric_violations(d, a, cap=1)
-        return cls(n=n, d=d, metric=metric, array=a, unit=unit)
+        metric = not _metric_violations(a, unit, cap=1)
+        return cls(n=n, metric=metric, array=a, unit=unit)
 
 
 def _fits_int64(n: int, entries: Iterable[int]) -> bool:
@@ -98,18 +116,19 @@ def _fits_int64(n: int, entries: Iterable[int]) -> bool:
     return 2 * n * n * max(map(abs, entries)) < 1 << 62
 
 
-def _as_integers(
-    d: tuple[tuple[Number, ...], ...], integral: bool
-) -> tuple[np.ndarray, Number]:
-    """``(a, unit)`` with ``d[i][j] == a[i, j] * unit`` and ``unit > 0``: ``d``
-    itself when it is integral and fits int64, else its entries times the LCM
-    of their denominators, over the GCD of the results. ``unit`` is an int
-    for integral ``d`` and a Fraction otherwise, so values scaled back have
-    the number type of ``d``'s own entries."""
-    n = len(d)
-    flat = list(chain.from_iterable(d))
+def _as_integers(rows: list[list[Number]]) -> tuple[np.ndarray, Number]:
+    """``(a, unit)`` with ``rows[i][j] == a[i, j] * unit`` and ``unit > 0``:
+    ``rows`` itself when it is all ints and fits int64, else its entries
+    times the LCM of their denominators, over the GCD of the results.
+    ``unit`` is an int for all-int rows and a Fraction otherwise, so values
+    scaled back have one number type per matrix."""
+    n = len(rows)
+    flat = list(chain.from_iterable(rows))
+    integral = all(issubclass(t, int) for t in set(map(type, flat)))
     if integral and _fits_int64(n, flat):
-        return np.array(d, dtype=np.int64), 1
+        return np.array(rows, dtype=np.int64), 1
+    if not integral:  # exact numerators and denominators, whatever the input type
+        flat = [x if type(x) is Fraction else Fraction(x) for x in flat]
     scale = math.lcm(*(x.denominator for x in flat))
     ints = [x.numerator * (scale // x.denominator) for x in flat]
     common = math.gcd(*ints) or 1
@@ -163,37 +182,40 @@ def render_distance_matrix(D: DistanceMatrix) -> str:
     return "".join(" ".join(str(x) for x in row) + "\n" for row in D.d)
 
 
-def _metric_violations(
-    d: tuple[tuple[Number, ...], ...], a: np.ndarray, cap: int
-) -> list[MetricViolation]:
+def _metric_violations(a: np.ndarray, unit: Number, cap: int) -> list[MetricViolation]:
     """The first ``cap`` triples with d[i][j] + d[j][k] < d[i][k], i < k, in
-    (i, k, j) order. Needs a zero diagonal: then j = i and j = k give d[i][k]
+    (i, k, j) order, on the symmetric image ``a`` of d with deficits scaled
+    by ``unit``. Needs a zero diagonal: then j = i and j = k give a[i, k]
     itself, so a min-plus test over all j finds the (i, k) with a violation,
-    and only those are walked over j, on ``d``'s exact entries."""
+    and only those are walked over j, on exact Python ints."""
     out: list[MetricViolation] = []
-    n = len(d)
+    n = len(a)
     step = max(1, (1 << 16) // (n * n))  # rows per test: at most 2^16 sums
     for i0 in range(0, n - 1, step):
         rows = a[i0 : i0 + step]
-        # short[r, c]: some j beats d[i][k] for i = i0 + r, k = i0 + 1 + c
+        # short[r, c]: some j beats a[i, k] for i = i0 + r, k = i0 + 1 + c
         short = (rows[:, :, None] + a[:, i0 + 1 :]).min(axis=1) < rows[:, i0 + 1 :]
         for r, c in zip(*(x.tolist() for x in np.triu(short).nonzero())):
             i, k = i0 + r, i0 + 1 + c
-            direct = d[i][k]
+            row_i, row_k = a[i].tolist(), a[k].tolist()
+            direct = row_i[k]
             for j in range(n):
                 if j == i or j == k:
                     continue
-                via = d[i][j] + d[j][k]
+                via = row_i[j] + row_k[j]
                 if via < direct:
-                    out.append(MetricViolation(i, j, k, direct - via))
+                    out.append(MetricViolation(i, j, k, (direct - via) * unit))
                     if len(out) >= cap:
                         return out
     return out
 
 
 def validate_metric(D: DistanceMatrix, max_violations: int = 20) -> list[MetricViolation]:
-    """List triples violating d[i][j] + d[j][k] >= d[i][k], capped."""
-    return _metric_violations(D.d, D.array, cap=max_violations)
+    """List triples violating d[i][j] + d[j][k] >= d[i][k], at most
+    ``max_violations`` of them."""
+    if max_violations < 0:
+        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
+    return _metric_violations(D.array, D.unit, cap=max_violations) if max_violations else []
 
 
 def random_euclidean_instance(n: int, seed: int, box: float = 1000.0) -> DistanceMatrix:

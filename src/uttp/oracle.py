@@ -43,7 +43,7 @@ def exact_uttp(D: DistanceMatrix) -> OracleResult:
     """
     if D.n != 4:
         raise OracleError(f"exhaustive search is limited to n=4, got n={D.n}")
-    d = D.d
+    d = D.array.tolist()  # the DFS sums the image; the optimum is scaled once
     n, slots = 4, 6
 
     # slot option: (games, orientation) -> per-team venue vector
@@ -98,7 +98,7 @@ def exact_uttp(D: DistanceMatrix) -> OracleResult:
         opp=tuple(tuple(r) for r in opp_rows),
         home=tuple(tuple(r) for r in home_rows),
     )
-    return OracleResult(optimum=best[0], schedule=schedule, explored=explored[0])
+    return OracleResult(optimum=best[0] * D.unit, schedule=schedule, explored=explored[0])
 
 
 def brute_force_tsp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = None) -> Tour:

@@ -54,8 +54,8 @@ every candidate.
 
 Every travel sum here (the scan, both rule evaluators and the re-walk that
 checks the winner) reads DistanceMatrix.array, the integer image of the
-distances, and is scaled by DistanceMatrix.unit once, into the number type
-of D.d. Every partial sum of the cumulative sum is a candidate total, and
+distances, and is scaled by DistanceMatrix.unit once, into the input's
+number type. Each partial sum of the cumulative sum is a candidate total, and
 every step a difference of two, so the int64 bound of the image covers them;
 an object image (integers past that bound) runs the same code exactly. The
 re-walk walks the built schedule and shares no code with the scan.

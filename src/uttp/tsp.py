@@ -13,8 +13,8 @@ indices. The vertex set is sorted, so index order is vertex order and every
 tie-break carries over. Scaling by a positive constant keeps every
 comparison, so rational files get the tours and tie-breaks of their integer
 twins, and Fraction arithmetic never runs inside them. Tour lengths are
-image sums scaled by ``DistanceMatrix.unit`` once; matching weights, which
-no report prints, are read from ``DistanceMatrix.d``.
+image sums scaled by ``DistanceMatrix.unit`` once, and so are matching
+weights.
 
 The Held-Karp table holds plain path lengths from the start vertex, one row
 per last vertex other than the start and one column per set of the other
@@ -278,8 +278,12 @@ def min_weight_perfect_matching(
         raise TspError(f"matching needs an even vertex count, got {len(verts)}")
     exact = len(verts) <= MATCHING_EXACT_MAX
     match = _matching_dp if exact else _matching_greedy_swap
-    pairs = tuple((verts[i], verts[j]) for i, j in match(D.array[np.ix_(verts, verts)]))
-    return Matching(pairs=pairs, weight=sum(D.d[a][b] for a, b in pairs), exact=exact)
+    w = D.array[np.ix_(verts, verts)]
+    idx = match(w)
+    pairs = tuple((verts[i], verts[j]) for i, j in idx)
+    # an empty matching weighs int 0, as an empty sum of input values does
+    weight = sum(int(w[i, j]) for i, j in idx) * D.unit if idx else 0
+    return Matching(pairs=pairs, weight=weight, exact=exact)
 
 
 def _matching_dp(w: np.ndarray) -> list[tuple[int, int]]:

@@ -173,7 +173,7 @@ def per_mask_held_karp(D, verts):
 def triple_loop_violations(d, cap):
     """The package's earlier triangle check: every (i, k, j) with i < k and
     d[i][j] + d[j][k] < d[i][k], in loop order, as (i, j, k, deficit)
-    tuples, stopping once ``cap`` are listed."""
+    tuples: the first ``cap`` of them, none when ``cap`` is 0."""
     n = len(d)
     out = []
     for i in range(n):
@@ -184,9 +184,9 @@ def triple_loop_violations(d, cap):
                     continue
                 via = d[i][j] + d[j][k]
                 if via < direct:
-                    out.append((i, j, k, direct - via))
                     if len(out) >= cap:
                         return out
+                    out.append((i, j, k, direct - via))
     return out
 
 

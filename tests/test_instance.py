@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from uttp import (
     DistanceMatrix,
     InstanceError,
+    MetricViolation,
     held_karp,
     parse_distance_matrix,
     random_euclidean_instance,
@@ -113,11 +115,45 @@ def test_generator_rejects_non_finite_box(box):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
-def test_render_parse_round_trip(n, seed):
-    D = random_euclidean_instance(n, seed)
-    assert parse_distance_matrix(render_distance_matrix(D)) == D
-    assert parse_distance_matrix(f"{D.n}\n" + render_distance_matrix(D)) == D
+@given(
+    n=st.integers(3, 10),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["int64", "tenths", "coprime_big"]),
+)
+def test_render_parse_round_trip(n, seed, kind):
+    rows = random_euclidean_instance(n, seed).d
+    if kind == "tenths":
+        rows = [[Fraction(x, 10) for x in row] for row in rows]
+    elif kind == "coprime_big":
+        rows = [[coprime_big(x) for x in row] for row in rows]
+    D = DistanceMatrix.from_rows(rows)
+    for text in (render_distance_matrix(D), f"{D.n}\n" + render_distance_matrix(D)):
+        E = parse_distance_matrix(text)
+        assert E == D and hash(E) == hash(D)
+        assert E.d == tuple(map(tuple, rows))
+        assert [type(x) for row in E.d for x in row] == [type(x) for row in rows for x in row]
+
+
+def test_equality_and_hash_are_by_value():
+    rows = random_euclidean_instance(6, 2).d
+    ints = DistanceMatrix.from_rows(rows)
+    # integral-valued Fractions: an image divided by the entries' GCD, and a
+    # Fraction unit, yet the same values
+    fracs = DistanceMatrix.from_rows([[Fraction(2 * x) for x in row] for row in rows])
+    doubled = DistanceMatrix.from_rows([[2 * x for x in row] for row in rows])
+    assert fracs.array.tolist() != doubled.array.tolist()
+    assert fracs == doubled and hash(fracs) == hash(doubled)
+    assert len({ints, DistanceMatrix.from_rows(rows), doubled, fracs}) == 2
+    quarter = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in rows])
+    assert quarter != ints and quarter.array.tolist() == ints.array.tolist()
+    assert ints != rows and ints != ints.d
+
+
+def test_d_is_derived_from_the_image():
+    D = random_euclidean_instance(5, 1)
+    assert [f.name for f in dataclasses.fields(D)] == ["n", "metric", "array", "unit"]
+    assert "d" not in vars(D)
+    assert D.d is D.d and "d" in vars(D)  # built on first read, then kept
 
 
 @settings(max_examples=25, deadline=None)
@@ -141,6 +177,16 @@ def test_fraction_round_trip():
     assert parse_distance_matrix(render_distance_matrix(D)) == D
 
 
+def test_from_rows_reads_other_number_types_exactly():
+    # numpy ints past 2^61 would wrap in the image's int64 bound test; they,
+    # like floats, are read as exact Fractions
+    big = np.int64(1 << 61)
+    D = DistanceMatrix.from_rows([[np.int64(0), big], [big, np.int64(0)]])
+    assert D.d == ((0, 1 << 61), (1 << 61, 0)) and type(D.d[0][1]) is Fraction
+    D = DistanceMatrix.from_rows([[0, 1.5], [1.5, 0.0]])
+    assert D.d == ((0, Fraction(3, 2)), (Fraction(3, 2), 0)) and type(D.d[0][0]) is Fraction
+
+
 def test_load_one_decimal_file():
     base = random_euclidean_instance(12, 5)
     text = "".join(" ".join(f"{x // 10}.{x % 10}" for x in row) + "\n" for row in base.d)
@@ -154,8 +200,8 @@ def test_load_one_decimal_file():
 
 
 def test_array_is_an_integer_image_of_d():
-    # d[i][j] == array[i, j] * unit, with unit of d's number type; the image
-    # is int64 unless its coprime entries are past the int64 bound
+    # rows[i][j] == array[i, j] * unit, with unit of the rows' number type;
+    # the image is int64 unless its coprime entries are past the int64 bound
     base = random_euclidean_instance(8, 3)
     kinds = {
         "int64": base.d,
@@ -170,8 +216,11 @@ def test_array_is_an_integer_image_of_d():
         assert type(D.unit) is (Fraction if kind in ("tenths", "thirds_and_sevenths") else int)
         assert D.unit > 0
         image = D.array.tolist()
-        assert [[x * D.unit for x in row] for row in image] == [list(row) for row in D.d], kind
-        assert [type(x * D.unit) for row in image for x in row] == [type(x) for row in D.d for x in row]
+        scaled = [[x * D.unit for x in row] for row in image]
+        assert scaled == [list(row) for row in rows], kind
+        assert [type(x) for row in scaled for x in row] == [type(x) for row in rows for x in row]
+        assert D.d == tuple(map(tuple, rows))
+        assert [type(x) for row in D.d for x in row] == [type(x) for row in rows for x in row]
         if kind != "int64":
             assert math.gcd(*D.array.flat) == 1, kind
     D = DistanceMatrix.from_rows(base.d)
@@ -209,15 +258,24 @@ def symmetric_zero_diagonal(draw):
 @settings(max_examples=60, deadline=None)
 @given(rows=symmetric_zero_diagonal(), kind=st.sampled_from(KINDS))
 def test_validate_metric_matches_triple_loop(rows, kind):
-    D = DistanceMatrix.from_rows(_in_kind(rows, kind))
+    rows = _in_kind(rows, kind)
+    D = DistanceMatrix.from_rows(rows)
     if kind != "coprime":  # coprime entries may still share a factor, e.g. when all equal
         assert D.array.dtype == np.int64
-    assert D.metric == (not triple_loop_violations(D.d, cap=len(rows) ** 3))
-    for m in range(1, 26):
+    assert D.metric == (not triple_loop_violations(rows, cap=len(rows) ** 3))
+    for m in range(0, 26):
         got = [(v.i, v.j, v.k, v.deficit) for v in validate_metric(D, max_violations=m)]
-        want = triple_loop_violations(D.d, m)
+        want = triple_loop_violations(rows, m)
         assert got == want
         assert [type(v[3]) for v in got] == [type(v[3]) for v in want]
+
+
+def test_validate_metric_cap():
+    D = DistanceMatrix.from_rows([[0, 1, 5, 1], [1, 0, 1, 1], [5, 1, 0, 1], [1, 1, 1, 0]])
+    assert validate_metric(D, max_violations=1) == [MetricViolation(0, 1, 2, 3)]
+    assert validate_metric(D, max_violations=0) == []
+    with pytest.raises(ValueError, match="max_violations"):
+        validate_metric(D, max_violations=-3)
 
 
 FAULTY = {
@@ -264,8 +322,11 @@ def test_parse_n300_memory_stays_row_at_a_time():
     tracemalloc.start()
     try:
         D = parse_distance_matrix(text)
-        _, peak = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert D.metric
     assert peak < 32 * 2**20
+    # the image is the one stored form: a second copy of the entries as
+    # Python ints would be another 2.7 MB
+    assert retained < 1.5 * D.array.nbytes

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from uttp import (
@@ -47,6 +49,23 @@ def test_oracle_brackets_solver(seed):
     report, _ = solve(D, want_certificate=False)
     tau = held_karp(D).length
     assert 4 * tau <= res.optimum <= report.total_distance
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_uttp_scales_with_the_input(seed):
+    # the search runs on the integer image, so a scaled twin has the scaled
+    # optimum, in the number type of its own entries, and the same schedule
+    D = random_euclidean_instance(4, seed + 700)
+    base = exact_uttp(D)
+    assert type(base.optimum) is int
+    for rows, scale in (
+        ([[Fraction(x, 4) for x in row] for row in D.d], Fraction(1, 4)),
+        ([[x << 58 for x in row] for row in D.d], 1 << 58),
+    ):
+        res = exact_uttp(DistanceMatrix.from_rows(rows))
+        assert res.optimum == base.optimum * scale
+        assert type(res.optimum) is type(rows[0][1])
+        assert (res.schedule, res.explored) == (base.schedule, base.explored)
 
 
 def test_brute_force_triangle():
