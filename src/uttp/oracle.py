@@ -93,11 +93,7 @@ def exact_uttp(D: DistanceMatrix) -> OracleResult:
             opp_rows[host][s] = guest
             opp_rows[guest][s] = host
             home_rows[host][s] = True
-    schedule = Schedule(
-        n=n,
-        opp=tuple(tuple(r) for r in opp_rows),
-        home=tuple(tuple(r) for r in home_rows),
-    )
+    schedule = Schedule(n=n, opp=opp_rows, home=home_rows)
     return OracleResult(optimum=best[0] * D.unit, schedule=schedule, explored=explored[0])
 
 

@@ -1,14 +1,14 @@
 """Circle-method round robins, mirrored double round robins with home/away
 assignment, slot rotations, relabelings, and validators.
 
-Slots are indexed 0..2n-3. Validators return structured violation lists so
-callers can report exactly what broke instead of a bare boolean.
+Slots are indexed 0..2n-3. Constructions work on a schedule's arrays;
+validators walk its tuple views and return structured violation lists.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,13 +25,47 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Schedule:
-    """Double round robin: per team and slot, (opponent, home flag)."""
+    """Double round robin: per team and slot, (opponent, home flag), stored
+    once as read-only (n, 2n-2) arrays; ``opp`` and ``home``, their tuple
+    views of Python ints and bools, are derived on first read. A given array
+    of the right dtype is shared, not copied. Equality and hash are by value."""
 
     n: int
-    opp: tuple[tuple[int, ...], ...]  # [team][slot] -> opponent
-    home: tuple[tuple[bool, ...], ...]  # [team][slot] -> plays at home?
+    opp_array: np.ndarray = field(repr=False)  # [team, slot] -> opponent
+    home_array: np.ndarray = field(repr=False)  # [team, slot] -> plays at home?
+
+    def __init__(self, n: int, opp, home) -> None:
+        object.__setattr__(self, "n", n)
+        for name, rows, dtype in (("opp", opp, np.intp), ("home", home, bool)):
+            try:
+                a = np.asarray(rows, dtype=dtype).view()  # the caller's array keeps its flags
+            except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, non-numbers
+                raise ScheduleError(f"{name} rows do not form a table: {exc}") from exc
+            if a.shape != (n, 2 * n - 2):
+                raise ScheduleError(f"{name} has shape {a.shape}, want ({n}, {2 * n - 2})")
+            a.setflags(write=False)
+            object.__setattr__(self, f"{name}_array", a)
+
+    @functools.cached_property
+    def opp(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.opp_array.tolist()))
+
+    @functools.cached_property
+    def home(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(map(tuple, self.home_array.tolist()))
+
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.opp_array.tobytes(), self.home_array.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def num_slots(self) -> int:
@@ -64,33 +98,18 @@ def circle_schedule(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _base_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The closed forms of ``mirror_and_assign(n)`` as arrays: the circle
-    schedule, (n, n-1), whose rows the 2n-2 slots repeat twice, and the
-    home flags, (n, 2n-2). Both are read-only and kept for the eight team
-    counts used last, so a solve, which reads them through
-    ``mirror_and_assign`` and ``schedule_family``, evaluates them once per
-    team count."""
-    s, t = np.arange(2 * n - 2), np.arange(n)[:, None]
-    home = np.where(t < n // 2, (2 * t <= s) & (s <= n + 2 * t - 2), (s < 2 * t - n + 2) | (s > 2 * t))
-    home[n - 1] = s > n - 2
-    circle = _circle_rows(n)
-    circle.flags.writeable = home.flags.writeable = False
-    return circle, home
-
-
 def mirror_and_assign(n: int) -> Schedule:
     """Mirror the circle schedule into 2n-2 slots and assign venues.
 
     Home slots: team t < n/2 is home exactly in slots 2t..n+2t-2; teams
     n/2..n-2 are away exactly in slots 2t-n+2..2t; team n-1 is away in the
-    whole first half. Every rotation of the result stays feasible. The
-    flags come from these closed forms as one boolean array, and are
-    returned as Python bools.
-    """
-    circle, home = _base_arrays(n)
-    opp = tuple(row + row for row in map(tuple, circle.tolist()))
-    return Schedule(n=n, opp=opp, home=tuple(map(tuple, home.tolist())))
+    whole first half. Every rotation of the result stays feasible. Built
+    from these closed forms; the eight team counts used last are kept."""
+    circle = _circle_rows(n)
+    s, t = np.arange(2 * n - 2), np.arange(n)[:, None]
+    home = np.where(t < n // 2, (2 * t <= s) & (s <= n + 2 * t - 2), (s < 2 * t - n + 2) | (s > 2 * t))
+    home[n - 1] = s > n - 2
+    return Schedule(n=n, opp=np.hstack([circle, circle]), home=home)
 
 
 def rotate(sched: Schedule, m: int) -> Schedule:
@@ -100,8 +119,7 @@ def rotate(sched: Schedule, m: int) -> Schedule:
         raise ScheduleError(f"rotation {m} out of range 0..{L - 1}")
     if m == 0:
         return sched
-    opp = tuple(row[m:] + row[:m] for row in sched.opp)
-    home = tuple(row[m:] + row[:m] for row in sched.home)
+    opp, home = (np.concatenate((a[:, m:], a[:, :m]), axis=1) for a in (sched.opp_array, sched.home_array))
     return Schedule(n=sched.n, opp=opp, home=home)
 
 
@@ -110,12 +128,11 @@ def relabel(sched: Schedule, perm: Sequence[int]) -> Schedule:
     n = sched.n
     if sorted(perm) != list(range(n)):
         raise ScheduleError("relabeling permutation must be a bijection on 0..n-1")
-    opp: list[tuple[int, ...]] = [()] * n
-    home: list[tuple[bool, ...]] = [()] * n
-    for t in range(n):
-        opp[perm[t]] = tuple(perm[o] for o in sched.opp[t])
-        home[perm[t]] = sched.home[t]
-    return Schedule(n=n, opp=tuple(opp), home=tuple(home))
+    p = np.asarray(perm, dtype=np.intp)
+    opp, home = np.empty_like(sched.opp_array), np.empty_like(sched.home_array)
+    opp[p] = p[sched.opp_array]
+    home[p] = sched.home_array
+    return Schedule(n=n, opp=opp, home=home)
 
 
 def check_drr(sched: Schedule) -> list[Violation]:
@@ -225,23 +242,15 @@ def parse_schedule_rows(text: str) -> Schedule:
     if n < 4 or n % 2 != 0:
         raise ScheduleError(f"need an even team count >= 4, got {n} rows")
     L = 2 * n - 2
-    opp_rows = []
-    home_rows = []
+    opp, home = [[0] * L for _ in lines], [[False] * L for _ in lines]
     for t, tokens in enumerate(lines):
         if len(tokens) != L:
             raise ScheduleError(f"row {t} has {len(tokens)} tokens, want {L}")
-        opp_row = []
-        home_row = []
         for s, tok in enumerate(tokens):
-            side = tok[-1].upper()
-            if side not in ("H", "A") or not tok[:-1].isdigit():
+            side, digits = tok[-1].upper(), tok[:-1]  # ASCII only: "²".isdigit() holds, and int() reads "٣"
+            if side not in ("H", "A") or not (digits.isascii() and digits.isdigit()):
                 raise ScheduleError(f"bad cell {tok!r} at team {t} slot {s}")
-            o = int(tok[:-1])
-            if not 0 <= o < n:
-                raise ScheduleError(f"opponent {o} out of range at team {t} slot {s}")
-            opp_row.append(o)
-            home_row.append(side == "H")
-        opp_rows.append(tuple(opp_row))
-        home_rows.append(tuple(home_row))
-    return Schedule(n=n, opp=tuple(opp_rows), home=tuple(home_rows))
-
+            opp[t][s], home[t][s] = int(digits), side == "H"
+            if opp[t][s] >= n:
+                raise ScheduleError(f"opponent {opp[t][s]} out of range at team {t} slot {s}")
+    return Schedule(n=n, opp=opp, home=home)

@@ -57,8 +57,9 @@ checks the winner) reads DistanceMatrix.array, the integer image of the
 distances, and is scaled by DistanceMatrix.unit once, into the input's
 number type. Each partial sum of the cumulative sum is a candidate total, and
 every step a difference of two, so the int64 bound of the image covers them;
-an object image (integers past that bound) runs the same code exactly. The
-re-walk walks the built schedule and shares no code with the scan.
+an object image (integers past that bound) runs the same code exactly. Only
+the winner is built, by rotating and relabeling the base schedule's arrays,
+and the re-walk walks its arrays and shares no code with the scan.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instance import DistanceMatrix, Number
-from .schedule import Schedule, _base_arrays, mirror_and_assign, relabel, rotate
+from .schedule import Schedule, mirror_and_assign, relabel, rotate
 from .tsp import HELD_KARP_CAP, PivotedCycle, build_pivoted_cycle, held_karp
 
 DIRECTIONS = ("forward", "reversed")
@@ -112,25 +113,20 @@ class SolveReport:
 
 def team_assignment(cycle: PivotedCycle, r: int, direction: str) -> tuple[int, ...]:
     """Map teams to venues: team n-1 gets the pivot; teams 0..n-2 read the
-    cycle from offset r, forward or reversed."""
+    cycle from offset r, forward or reversed (row r of ``_labelings``)."""
     k = len(cycle.cycle)
     if not 0 <= r < k:
         raise SolverError(f"cycle rotation {r} out of range 0..{k - 1}")
     if direction not in DIRECTIONS:
         raise SolverError(f"direction must be one of {DIRECTIONS}")
-    if direction == "forward":
-        mapping = [cycle.cycle[(r + i) % k] for i in range(k)]
-    else:
-        mapping = [cycle.cycle[(r - i) % k] for i in range(k)]
-    mapping.append(cycle.pivot)
-    return tuple(mapping)
+    return tuple(_labelings(cycle, direction)[r].tolist())
 
 
 def _stops(sched: Schedule, mapping: Sequence[int]) -> np.ndarray:
     """Each team's venue in each slot, shape (n, 2n-2): its own where it
     plays at home, its opponent's elsewhere."""
     venue = np.asarray(mapping)
-    return np.where(np.array(sched.home, dtype=bool), venue[:, None], venue[np.array(sched.opp)])
+    return np.where(sched.home_array, venue[:, None], venue[sched.opp_array])
 
 
 def evaluate_athome(
@@ -164,10 +160,10 @@ def evaluate_assumption_a(
 @dataclass(frozen=True)
 class ScheduleFamily:
     """The mirrored base schedule and, per team and slot rotation, the team
-    whose venue it is at in the last slot, from which the splice identity
-    (module docstring) prices all 2n-2 slot rotations of any labeling. Slot
-    rotations are never built: a labeling costs O(n^2), and the shift
-    identity makes the whole scan O(n^2) too."""
+    whose venue it is at in the last slot, read off the base's arrays, from
+    which the splice identity (module docstring) prices all 2n-2 slot
+    rotations of any labeling. Slot rotations are never built: a labeling
+    costs O(n^2), and the shift identity makes the whole scan O(n^2) too."""
 
     n: int
     base: Schedule
@@ -180,8 +176,7 @@ class ScheduleFamily:
 
 def schedule_family(n: int) -> ScheduleFamily:
     base = mirror_and_assign(n)
-    circle, home = _base_arrays(n)  # base as arrays, from the same closed forms
-    host = np.where(home, np.arange(n)[:, None], np.hstack([circle, circle]))
+    host = np.where(base.home_array, np.arange(n)[:, None], base.opp_array)
     L = 2 * n - 2
     return ScheduleFamily(n, base, host[:, (np.arange(L + 1) - 1) % L])
 
@@ -212,8 +207,8 @@ def athome_table(D: DistanceMatrix, family: ScheduleFamily, mapping: Sequence[in
 
 
 def _labelings(cycle: PivotedCycle, direction: str) -> np.ndarray:
-    """team_assignment(cycle, r, direction) for r = 0..n-2, as an (n-1, n)
-    array."""
+    """Every labeling of one direction as an (n-1, n) array, row r the
+    team_assignment for cycle rotation r."""
     k = len(cycle.cycle)
     step = 1 if direction == "forward" else -1
     offsets = (np.arange(k)[:, None] + step * np.arange(k)) % k

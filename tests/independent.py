@@ -9,7 +9,9 @@ kept as they were so the rewrites can be held to identical output:
 ``dict_prim_mst`` and ``rescan_greedy_swap`` (tie-breaks of the MST and the
 greedy matching on the integer image),
 ``triple_loop_violations`` and ``first_entry_fault`` (the vectorized load
-checks), ``tuple_mirror_and_assign`` (the array-built base schedule),
+checks), ``tuple_mirror_and_assign``, ``tuple_rotate`` and
+``tuple_relabel`` (the array-built base schedule, slot rotation and
+relabeling),
 ``per_labeling_scan`` (the shift-identity candidate scan) and
 ``fraction_certify`` (the certificate on the integer image). Two more,
 ``assumption_a_route`` and ``assumption_a_table``, are helpers only the
@@ -228,6 +230,26 @@ def tuple_mirror_and_assign(n):
             row = [s > n - 2 for s in range(2 * half)]
         home_rows.append(tuple(row))
     return opp, tuple(home_rows)
+
+
+def tuple_rotate(opp, home, m):
+    """The package's earlier slot rotation on (opp rows, home rows) tuples:
+    slot s of the result holds slot (s+m) mod (2n-2) of the input."""
+    opp = tuple(row[m:] + row[:m] for row in opp)
+    home = tuple(row[m:] + row[:m] for row in home)
+    return opp, home
+
+
+def tuple_relabel(opp, home, perm):
+    """The package's earlier relabeling on (opp rows, home rows) tuples: team
+    perm[t] takes team t's row, with opponents mapped through perm."""
+    n = len(opp)
+    new_opp = [()] * n
+    new_home = [()] * n
+    for t in range(n):
+        new_opp[perm[t]] = tuple(perm[o] for o in opp[t])
+        new_home[perm[t]] = home[t]
+    return tuple(new_opp), tuple(new_home)
 
 
 def per_mask_matching_dp(D, verts):

@@ -190,6 +190,17 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_validate_non_ascii_digit_is_malformed(tmp_path, capsys, digit):
+    text = render_schedule(mirror_and_assign(4), "rows").replace("3H", digit + "H", 1)
+    path = tmp_path / "sched.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 3
+    assert out == ""
+    assert "malformed schedule: bad cell" in err
+
+
 def test_bench_exact(capsys):
     code, out, _ = run_cli(capsys, "bench", str(INSTANCES), "--format", "csv")
     assert code == 0

@@ -1,3 +1,7 @@
+import dataclasses
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +21,7 @@ from uttp import (
     streak_stats,
 )
 
-from independent import tuple_mirror_and_assign
+from independent import tuple_mirror_and_assign, tuple_relabel, tuple_rotate
 
 # known-good 10-team double round robin produced by this construction,
 # frozen cell for cell (18 slots x 10 teams)
@@ -151,6 +155,105 @@ def test_rotate_matches_modular_index(n):
             )
 
 
+def assert_cells(sched, opp, home):
+    """The schedule's arrays and derived views hold exactly these tuple
+    rows, as Python ints and bools."""
+    assert sched.opp == opp
+    assert sched.home == home
+    assert {type(o) for row in sched.opp for o in row} == {int}
+    assert {type(flag) for row in sched.home for flag in row} == {bool}
+    assert sched.opp_array.dtype == np.intp and sched.home_array.dtype == bool
+    assert sched.opp_array.tolist() == [list(row) for row in opp]
+    assert sched.home_array.tolist() == [list(row) for row in home]
+
+
+@pytest.mark.parametrize("n", range(4, 31, 2))
+def test_rotate_and_relabel_match_tuple_versions(n):
+    base = mirror_and_assign(n)
+    ref_base = tuple_mirror_and_assign(n)
+    perms = [
+        tuple(range(n)),
+        tuple(reversed(range(n))),
+        tuple(random.Random(n).sample(range(n), n)),
+    ]
+    for m in range(2 * n - 2):
+        rot = rotate(base, m)
+        ref_rot = tuple_rotate(*ref_base, m)
+        assert_cells(rot, *ref_rot)
+        for perm in perms:
+            assert_cells(relabel(rot, perm), *tuple_relabel(*ref_rot, perm))
+
+
+def test_equality_and_hash_are_by_value():
+    for n in (4, 10):
+        built = relabel(rotate(mirror_and_assign(n), 3), list(reversed(range(n))))
+        from_tuples = Schedule(n=n, opp=built.opp, home=built.home)
+        from_lists = Schedule(n=n, opp=[list(r) for r in built.opp], home=[list(r) for r in built.home])
+        assert (built == from_tuples) is True
+        assert (from_lists == built) is True
+        assert hash(built) == hash(from_tuples) == hash(from_lists)
+        assert len({built, from_tuples, from_lists}) == 1
+        assert ((1, built) != (1, from_tuples)) is False  # tuples of results compare
+        assert (built != flip_flag(built, 0, 0)) is True
+        assert (built == rotate(built, 1)) is False
+        assert built != "not a schedule"
+    assert mirror_and_assign(4) != mirror_and_assign(6)
+
+
+def test_arrays_are_read_only():
+    opp = np.array(mirror_and_assign(4).opp)
+    home = np.array(mirror_and_assign(4).home)
+    given_arrays = Schedule(n=4, opp=opp, home=home)
+    assert np.shares_memory(given_arrays.opp_array, opp)  # shared, not copied
+    assert opp.flags.writeable and home.flags.writeable  # the caller's flags stay
+    base = mirror_and_assign(6)
+    schedules = [
+        given_arrays,
+        base,
+        rotate(base, 2),
+        relabel(base, [5, 4, 3, 2, 1, 0]),
+        parse_schedule_rows(render_schedule(base, "rows")),
+        Schedule(n=6, opp=base.opp, home=base.home),
+    ]
+    for sched in schedules:
+        with pytest.raises(ValueError):
+            sched.opp_array[0, 0] = 1
+        with pytest.raises(ValueError):
+            sched.home_array[0, 0] = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.n = 8
+
+
+def _misshaped(kind):
+    opp, home = tuple_mirror_and_assign(4)
+    opp, home = [list(r) for r in opp], [list(r) for r in home]
+    if kind == "ragged-opp":
+        opp[2].pop()
+    elif kind == "ragged-home":
+        home[3].append(True)
+    elif kind == "missing-row":
+        opp.pop()
+        home.pop()
+    elif kind == "short-rows":
+        opp, home = [r[:5] for r in opp], [r[:5] for r in home]
+    elif kind == "flat":
+        opp = [o for r in opp for o in r]
+    elif kind == "transposed":
+        opp, home = np.array(opp).T, np.array(home).T
+    elif kind == "not-numbers":
+        opp[0][0] = "x"
+    return opp, home
+
+
+@pytest.mark.parametrize(
+    "kind", ["ragged-opp", "ragged-home", "missing-row", "short-rows", "flat", "transposed", "not-numbers"]
+)
+def test_constructor_rejects_misshaped_rows(kind):
+    opp, home = _misshaped(kind)
+    with pytest.raises(ScheduleError):
+        Schedule(n=4, opp=opp, home=home)
+
+
 def test_rotate_out_of_range():
     sched = mirror_and_assign(4)
     with pytest.raises(ScheduleError):
@@ -243,6 +346,17 @@ def test_render_parse_round_trip():
     for n in (4, 10):
         sched = mirror_and_assign(n)
         assert parse_schedule_rows(render_schedule(sched, "rows")) == sched
+
+
+@pytest.mark.parametrize(
+    "digit",
+    ["\u00b2", "\u0663", "\uff13", "\U0001d7d1"],
+    ids=["superscript-two", "arabic-indic-three", "fullwidth-three", "bold-three"],
+)
+def test_parse_rows_rejects_non_ascii_digits(digit):
+    text = render_schedule(mirror_and_assign(4), "rows").replace("3H", digit + "H", 1)
+    with pytest.raises(ScheduleError, match="bad cell"):
+        parse_schedule_rows(text)
 
 
 def test_grid_format_contains_cells():
