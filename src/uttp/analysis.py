@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from .instance import DistanceMatrix, Number
 from .solver import (
     ScheduleFamily,
@@ -82,9 +84,12 @@ def certify(
     *,
     total: Number,
     ratio_bound: Fraction,
+    table: Optional[np.ndarray] = None,
 ) -> BoundCertificate:
     """Evaluate every solver-output inequality for the canonical labeling
-    (cycle offset 0, forward) and the given best total.
+    (cycle offset 0, forward) and the given best total. ``table``, when
+    given, is that labeling's ``athome_table``, as ``solve`` has priced it
+    for the candidate scan; else it is priced here.
 
     Checks, with exact arithmetic throughout:
       edge_max    every pairwise distance <= tau/2
@@ -121,7 +126,9 @@ def certify(
 
     # per team, its athome travel summed over the M slot rotations:
     # (2n-1) * M < 4n^2 entries, which fits int64 since 4n^2 * max < 2^63
-    team_sum = athome_table(D, family, mapping).sum(axis=0).tolist()
+    if table is None:
+        table = athome_table(D, family, mapping)
+    team_sum = table.sum(axis=0).tolist()
     M = 2 * n - 2
     avg = Fraction(sum(team_sum), M) * unit
     rhs = (

@@ -75,10 +75,18 @@ def _read_instance(path: str) -> DistanceMatrix:
         if path == "-":
             return parse_distance_matrix(sys.stdin.read())
         return load_instance(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INVALID_INSTANCE, f"cannot read instance: {exc}") from exc
     except InstanceError as exc:
         raise CliError(EXIT_INVALID_INSTANCE, f"invalid instance: {exc}") from exc
+
+
+def _read_tour(path: str | Path, n: int) -> tuple[int, ...]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(EXIT_INVALID_INSTANCE, f"cannot read tour file: {exc}") from exc
+    return parse_tour_file(text, n)
 
 
 def _parse_tsp_mode(value: str) -> tuple[str, str | None]:
@@ -199,12 +207,7 @@ def _emit_report(
 def cmd_solve(args) -> int:
     D = _read_instance(args.instance)
     mode, tour_path = _parse_tsp_mode(args.tsp)
-    tour = None
-    if mode == "tour_file":
-        try:
-            tour = parse_tour_file(Path(tour_path).read_text(), D.n)
-        except OSError as exc:
-            raise CliError(EXIT_INVALID_INSTANCE, f"cannot read tour file: {exc}") from exc
+    tour = _read_tour(tour_path, D.n) if mode == "tour_file" else None
     if not D.metric:
         print(
             "warning: input violates the triangle inequality; "
@@ -232,7 +235,7 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     try:
         sched = parse_schedule_rows(Path(args.schedule).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INFEASIBLE_SCHEDULE, f"cannot read schedule: {exc}") from exc
     except ScheduleError as exc:
         raise CliError(EXIT_INFEASIBLE_SCHEDULE, f"malformed schedule: {exc}") from exc
@@ -295,7 +298,7 @@ def cmd_bench(args) -> int:
             tour_path = Path(args.tours) / f"{family}{n}.tour" if args.tours else None
             if tour_path and tour_path.exists():
                 run_mode = "tour_file"
-                tour = parse_tour_file(tour_path.read_text(), n)
+                tour = _read_tour(tour_path, n)
                 note = "tour-file"
             else:
                 rows.append((family, n, "", "", "", best_ub, "skipped: beyond exact-tour cap"))

@@ -113,13 +113,15 @@ class SolveReport:
 
 def team_assignment(cycle: PivotedCycle, r: int, direction: str) -> tuple[int, ...]:
     """Map teams to venues: team n-1 gets the pivot; teams 0..n-2 read the
-    cycle from offset r, forward or reversed (row r of ``_labelings``)."""
+    cycle from offset r, forward or reversed (row r of ``_labelings``, by
+    the same offset formula)."""
     k = len(cycle.cycle)
     if not 0 <= r < k:
         raise SolverError(f"cycle rotation {r} out of range 0..{k - 1}")
     if direction not in DIRECTIONS:
         raise SolverError(f"direction must be one of {DIRECTIONS}")
-    return tuple(_labelings(cycle, direction)[r].tolist())
+    step = 1 if direction == "forward" else -1
+    return tuple(cycle.cycle[(r + step * i) % k] for i in range(k)) + (cycle.pivot,)
 
 
 def _stops(sched: Schedule, mapping: Sequence[int]) -> np.ndarray:
@@ -216,12 +218,19 @@ def _labelings(cycle: PivotedCycle, direction: str) -> np.ndarray:
     return np.hstack([venues, np.full((k, 1), cycle.pivot)])
 
 
-def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCycle) -> np.ndarray:
+def candidate_totals(
+    D: DistanceMatrix,
+    family: ScheduleFamily,
+    cycle: PivotedCycle,
+    table: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Athome total of every candidate in units of ``D.unit``, indexed
     [r, direction, m] with directions in DIRECTIONS order: shape
     (n-1, 2, 2n-2). Row-major order is the (r, direction, m) order in which
     the first minimum wins. Labeling 0 is priced team by team, the others by
-    the shift identity's recurrence (module docstring)."""
+    the shift identity's recurrence (module docstring). ``table``, when
+    given, is forward labeling 0's ``athome_table``, which is then not
+    priced again."""
     n, half = family.n, family.n // 2
     L = 2 * n - 2
     venues = np.stack([_labelings(cycle, d) for d in DIRECTIONS], axis=1)  # [r, direction, team]
@@ -240,7 +249,9 @@ def candidate_totals(D: DistanceMatrix, family: ScheduleFamily, cycle: PivotedCy
     to_base = (np.arange(L) - step * r) % L
     frames = added[r, di, to_base]
     frames[1:] -= dropped[r, di, to_base][:-1]
-    frames[0] = [athome_table(D, family, mapping).sum(axis=1) for mapping in venues[0]]
+    if table is None:
+        table = athome_table(D, family, venues[0, 0])
+    frames[0] = [table.sum(axis=1), athome_table(D, family, venues[0, 1]).sum(axis=1)]
     return np.cumsum(frames, axis=0)[r, di, (np.arange(L) + step * r) % L]
 
 
@@ -265,7 +276,9 @@ def solve(
         tau = None
 
     family = schedule_family(n)
-    totals = candidate_totals(D, family, pivoted)
+    # forward labeling 0, priced once for the scan and the certificate
+    table = athome_table(D, family, team_assignment(pivoted, 0, "forward"))
+    totals = candidate_totals(D, family, pivoted, table)
     flat = int(np.argmin(totals))
     total = totals.item(flat) * D.unit
     r, di, m = map(int, np.unravel_index(flat, totals.shape))
@@ -290,7 +303,7 @@ def solve(
     certificate = None
     if want_certificate and tau is not None:
         certificate = certify(
-            D, pivoted, family, tau, total=total, ratio_bound=ratio_bound
+            D, pivoted, family, tau, total=total, ratio_bound=ratio_bound, table=table
         )
 
     report = SolveReport(

@@ -24,23 +24,38 @@ object dtype. Each popcount layer is extended one vertex in a single step
 over whole rows: for every set and every next vertex j, the minimum over
 the k-1 predecessors i of ``dp[i] + dist[i, j]``. A predecessor outside the
 set holds ``INF``, longer than any Hamilton path, so it never wins. No
-parent table is kept: the tour is walked back from the full set, each step
-taking the first minimizing predecessor by ``np.argmin`` over the same sums,
-so the tours equal those of a per-mask DP. ``HELD_KARP_CAP`` is the one
-size limit on an exact tour, and no argument moves it.
+parent table is kept: a path is walked back from its cell, each step taking
+the first minimizing predecessor by ``np.argmin`` over the same sums.
+
+The distances are symmetric, so the layers are filled only up to the sets
+of ``a = ceil(k/2)`` vertices. Every Hamilton cycle through vertex 0 is two
+table paths from 0 that meet at the cycle's a-th vertex m: one through a
+vertices, m last, and one through the other ``k - 1 - a`` and m. The least
+sum over those pairs of cells is the shortest cycle's length. When exactly two pairs
+attain it, as a cycle and its reverse do, and every step walking them back
+has a single minimizing predecessor, no other cycle is as short, and the
+tour is read off the half table. Otherwise, ties included, the same blocks
+fill the table on to the full set and the tour is walked back from it, the
+first minimum at each step, so of all shortest cycles it is the one a
+per-mask DP returns. A unique cycle is that one too, once canonicalised.
+``HELD_KARP_CAP`` is the one size limit on an exact tour, and no argument
+moves it.
 
 Where each step reads and writes depends on k alone: the popcount order of
-the sets, each set's column, and per block the cell that every set plus
-every next vertex lands in. ``_hk_plan`` builds that addressing. Up to
-``HK_KEEP_MAX`` = 16 vertices it is built once per k and kept, read-only:
-2.0 MB at k=16, about 4 MB for all k up to 16. Past that a kept plan would
-be as large as the table itself, so each call builds its blocks one at a
-time as they are used. The popcount order is kept for every bit count.
+the sets, each set's column, per block the cell that every set plus every
+next vertex lands in, and the pairs of cells where the two halves of a
+cycle meet. ``_hk_plan`` builds that addressing. Up to ``HK_KEEP_MAX`` = 16
+vertices it is built once per k and kept, read-only: 2.5 MB at k=16, 0.4
+MB of it the meet, about 4.7 MB for all k up to 16. Past that a kept plan
+would be larger than the table itself, so each call builds its blocks one
+at a time as they are used, and its meet (7.4 MB at k=20). The popcount
+order is kept for every bit count.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -56,8 +71,8 @@ MATCHING_EXACT_MAX = 16
 # 2.4's broadcast adds ran 2-3x slower per element on rows of 2560 or fewer
 # (2-vCPU x86-64 host), and no faster on rows past 3072.
 HK_BLOCK = 3072
-# the largest k whose Held-Karp addressing is kept across calls: 2.0 MB at
-# k=16, while at k=18 it would be 8.9 MB, as large as the int32 table
+# the largest k whose Held-Karp addressing is kept across calls: 2.5 MB at
+# k=16, while at k=18 it would be 11 MB, more than the 8.9 MB int32 table
 HK_KEEP_MAX = 16
 
 
@@ -176,15 +191,27 @@ def _min_plus(src: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hk_plan(k: int, dtype: type) -> tuple[np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
+def _hk_plan(
+    k: int, dtype: type
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
     """The Held-Karp table's addressing for k vertices, which depends on k
-    alone: ``column``, the table column of each bitmask, and, built one
-    block at a time as they are consumed, the blocks ``(lo, hi, at)`` in
-    fill order. Columns lo..hi-1 are a block of one popcount layer, and
-    ``at[j - 1, c]`` is the flat index in the table of the cell that the
-    set of column lo + c plus next vertex j lands in: row j - 1 of the
-    set's column, or of the spill column when j is in the set already.
-    All arrays are read-only, of integer ``dtype``."""
+    alone: ``column``, the table column of each bitmask; ``meet``, where
+    the two halves of every cycle meet (below); and, built one block at a
+    time as they are consumed, the blocks ``(lo, hi, at)`` in fill order.
+    Columns lo..hi-1 are a block of one popcount layer, and ``at[j - 1, c]``
+    is the flat index in the table of the cell that the set of column
+    lo + c plus next vertex j lands in: row j - 1 of the set's column, or
+    of the spill column when j is in the set already.
+
+    ``meet`` has a column per set S of ``a = ceil(k/2)`` vertices and
+    member m of S, by m and then in table column order: ``meet[0]`` is the
+    flat index of cell (m, S), ``meet[1]`` that of cell (m, the other
+    vertices plus m), a set of ``k - a <= a`` vertices.
+
+    All arrays are read-only, of integer ``dtype``, but ``meet``: it is
+    only gathered from, which numpy does from int32 indices without an intp
+    copy, so it is int32 at every k, 7.4 MB at k=20 where intp would be
+    14.8."""
     order, start = _popcount_order(k - 1)
     spill = len(order)
     column = np.empty(spill, dtype=dtype)
@@ -193,6 +220,16 @@ def _hk_plan(k: int, dtype: type) -> tuple[np.ndarray, Iterator[tuple[int, int, 
     rows = np.arange(k - 1, dtype=dtype)
     bit = (1 << rows)[:, None]  # row j - 1: vertex j's bit
     offset = (rows * (spill + 1))[:, None]  # row starts in the flat table
+    a = (k + 1) // 2
+    layer = order[start[a]:start[a + 1]]
+    meet = np.empty((2, k - 1, math.comb(k - 2, a - 1)), dtype=np.int32)
+    for j in range(k - 1):  # the a-sets that hold vertex j + 1, and their other halves
+        held = layer[layer & (1 << j) != 0]
+        meet[0, j] = column[held]
+        meet[1, j] = column[(held ^ (spill - 1)) | (1 << j)]
+    meet += offset
+    meet = meet.reshape(2, -1)
+    meet.flags.writeable = False
 
     def blocks() -> Iterator[tuple[int, int, np.ndarray]]:
         for p in range(1, k - 1):
@@ -204,19 +241,21 @@ def _hk_plan(k: int, dtype: type) -> tuple[np.ndarray, Iterator[tuple[int, int, 
                 at.flags.writeable = False
                 yield lo, hi, at
 
-    return column, blocks()
+    return column, meet, blocks()
 
 
 @functools.cache
-def _hk_kept_plan(k: int) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
+def _hk_kept_plan(
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
     """``_hk_plan(k)`` with its blocks built in full, kept for the life of
-    the process: 2.0 MB at k=16, about 4 MB for every k up to 16, in int32.
-    numpy casts int32 indices to intp on every scatter, but a kept intp
-    plan, twice the size, showed no gain in exact solves' latency and added
-    2.5 MB to their peak RSS. A plan built per call is intp, since that
-    cast would be its only cost."""
-    column, blocks = _hk_plan(k, np.int32)
-    return column, tuple(blocks)
+    the process: 2.5 MB at k=16 (0.4 MB of it the meet), about 4.7 MB for
+    every k up to 16, in int32. numpy casts int32 indices to intp on every
+    scatter, but a kept intp plan, twice the size, showed no gain in exact
+    solves' latency and added 2.5 MB to their peak RSS. A plan built per
+    call is intp, since that cast would be its only cost."""
+    column, meet, blocks = _hk_plan(k, np.int32)
+    return column, meet, tuple(blocks)
 
 
 def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
@@ -233,11 +272,27 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     dist[i, j]``. A cell whose j is in the set already lands in a spill
     column past the last set, which nothing reads. A last vertex outside
     the set holds ``INF``, longer than any Hamilton path, so it is never a
-    predecessor. No parent is kept: the tour is walked back from the full
-    set, and each step's ``np.argmin`` over the same sums picks the first
-    minimizing predecessor, so the tours are those of a per-mask DP. Where
-    each step lands depends on k alone (``_hk_plan``), and is kept across
-    calls up to ``HK_KEEP_MAX`` vertices.
+    predecessor. No parent is kept: a path is walked back from its cell,
+    each step's ``np.argmin`` over the same sums picking the first
+    minimizing predecessor.
+
+    The layers are filled only up to the sets of ``a = ceil(k/2)``
+    vertices. A cycle ``0 -> t1 -> ... -> t(k-1) -> 0`` splits at
+    ``m = t_a`` into two table paths from 0 that end at m: one through
+    ``S = {t1..ta}``, the other through the rest of the vertices and m, at
+    most a of them. So tau is the least ``dp[m, S] + dp[m, rest | m]`` over
+    the a-sets S and their members m (``_hk_plan``'s ``meet``); both cells
+    are real paths, so the sum is at most ``k * max`` and fits the table's
+    dtype. Each shortest directed cycle splits at exactly one pair that
+    attains tau, a hit. When there are exactly two hits, as a cycle and its
+    reverse give, and each cell of both walks back with a single minimizing
+    predecessor at every step, no other cycle is shortest, and the tour is
+    read off the half table (at even k the two hits have the same two
+    cells, swapped, so two walks do). Otherwise, ties included, the same
+    blocks fill the rest of the table and the tour is walked back from the
+    full set, so of all shortest cycles it is the one a per-mask DP
+    returns. Where each step lands depends on k alone (``_hk_plan``), and
+    is kept across calls up to ``HK_KEEP_MAX`` vertices.
     """
     k = len(verts)
     dist = D.array[np.ix_(verts, verts)]
@@ -247,20 +302,61 @@ def _held_karp(D: DistanceMatrix, verts: list[int]) -> list[int]:
     INF = k * dist.max() + 1
     if INF + dist.max() < 1 << 31:
         dist = dist.astype(np.int32)
-    column, blocks = _hk_kept_plan(k) if k <= HK_KEEP_MAX else _hk_plan(k, np.intp)
+    column, meet, blocks = _hk_kept_plan(k) if k <= HK_KEEP_MAX else _hk_plan(k, np.intp)
+    order, start = _popcount_order(k - 1)
     spill = len(column)
     dp = np.full((k - 1, spill + 1), INF, dtype=dist.dtype)
     rows = np.arange(k - 1)
     dp[rows, rows + 1] = dist[0, 1:]  # the one-vertex sets: order[1 + b] == 1 << b
     step = dist[1:, 1:]
     cells = dp.reshape(-1)
-    for lo, hi, at in blocks:
-        cells[at] = _min_plus(dp[:, lo:hi], step)
-    tour, mask = [0], spill - 1  # the bitmask of the full set
-    for _ in range(k - 1):  # each vertex's predecessor, from the one closing the cycle
-        j = int(np.argmin(dp[:, column[mask]] + dist[1:, tour[-1]])) + 1
-        tour.append(j)
-        mask ^= 1 << (j - 1)
+    blocks = iter(blocks)
+
+    def fill(end: int) -> None:
+        """Consume the blocks on to the one whose sets end just before
+        column ``end``: every layer up to the one that starts at ``end`` is
+        then filled."""
+        for lo, hi, at in blocks:
+            cells[at] = _min_plus(dp[:, lo:hi], step)
+            if hi == end:
+                return
+
+    def walk(j: int, mask: int) -> tuple[list[int], bool]:
+        """The path from last vertex j back through the set ``mask`` (bit
+        i - 1 for vertex i), j first; and whether every step had a single
+        minimizing predecessor."""
+        path, unique = [j], True
+        while mask:
+            via = (dp[:, column[mask]] + dist[1:, path[-1]]).tolist()
+            least = min(via)
+            i = via.index(least)  # the first minimum
+            unique = unique and via.count(least) == 1
+            path.append(i + 1)
+            mask ^= 1 << i
+        return path, unique
+
+    def only_shortest() -> Optional[list[int]]:
+        """The shortest cycle, read off the half table, when no other cycle
+        is as short; else None."""
+        length = cells[meet[0]]
+        length += cells[meet[1]]
+        hits = np.flatnonzero(length == length.min())
+        if len(hits) != 2:
+            return None
+        walks = {}
+        for cell in set(meet[:, hits].ravel().tolist()):
+            row, col = divmod(cell, spill + 1)
+            walks[cell] = walk(row + 1, int(order[col]) ^ (1 << row))
+        if not all(unique for _, unique in walks.values()):
+            return None
+        there, back = (walks[cell][0] for cell in meet[:, hits[0]].tolist())
+        return [0, *reversed(there), *back[1:]]
+
+    fill(start[(k + 1) // 2])
+    tour = only_shortest()
+    if tour is None:
+        fill(start[k - 1])
+        tour = walk(0, spill - 1)[0]
     return [verts[i] for i in tour]
 
 

@@ -401,6 +401,12 @@ def test_solve_non_metric_warns(tmp_path, capsys):
         (["bench", "{tmp}/five.txt"], 2, "not a directory"),
         (["solve", str(INSTANCES / "nl4.txt"), "--tsp", "tour-file={tmp}/missing.tour"], 2, "cannot read tour file"),
         (["solve", str(INSTANCES / "nl4.txt"), "--tsp", "bogus"], 2, "--tsp must be exact, christofides"),
+        (["solve", "{tmp}/latin1.txt"], 2, "cannot read instance"),
+        (["oracle", "{tmp}/latin1.txt"], 2, "cannot read instance"),
+        (["validate", "{tmp}/four.rows", "{tmp}/latin1.txt"], 2, "cannot read instance"),
+        (["validate", "{tmp}/latin1.txt"], 3, "cannot read schedule"),
+        (["solve", str(INSTANCES / "nl4.txt"), "--tsp", "tour-file={tmp}/latin1.txt"], 2, "cannot read tour file"),
+        (["bench", "{tmp}/big", "--tours", "{tmp}/big"], 2, "cannot read tour file"),
     ],
     ids=[
         "schedule-out-unwritable",
@@ -414,6 +420,12 @@ def test_solve_non_metric_warns(tmp_path, capsys):
         "bench-not-a-directory",
         "tour-file-missing",
         "tsp-bogus",
+        "solve-not-utf8",
+        "oracle-not-utf8",
+        "validate-instance-not-utf8",
+        "validate-schedule-not-utf8",
+        "tour-file-not-utf8",
+        "bench-tour-not-utf8",
     ],
 )
 def test_failures_exit_with_documented_code(tmp_path, argv, code, message):
@@ -423,6 +435,12 @@ def test_failures_exit_with_documented_code(tmp_path, argv, code, message):
     (tmp_path / "four.rows").write_text(render_schedule(mirror_and_assign(4), "rows"))
     (tmp_path / "misnamed").mkdir()
     (tmp_path / "misnamed" / "nl4.txt").write_text((INSTANCES / "nl6.txt").read_text())
+    # a byte that is not UTF-8 (latin-1 for y with diaeresis), in a file
+    # read as an instance, a schedule or a tour
+    (tmp_path / "latin1.txt").write_bytes(b"0 1\xff\n1 0\n")
+    (tmp_path / "big").mkdir()  # past the exact-tour cap, bench reads its tour file
+    (tmp_path / "big" / "rand22.txt").write_text(render_distance_matrix(random_euclidean_instance(22, 1)))
+    (tmp_path / "big" / "rand22.tour").write_bytes(b"0\xff")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "uttp", *argv], capture_output=True, text=True

@@ -24,7 +24,11 @@ from uttp import (
     team_assignment,
 )
 from uttp.schedule import Schedule
+import uttp.analysis
+import uttp.solver
 from uttp.solver import (
+    DIRECTIONS,
+    _labelings,
     athome_table,
     candidate_totals,
     schedule_family,
@@ -75,6 +79,38 @@ def test_assignments_pairwise_distinct():
         for direction in ("forward", "reversed")
     }
     assert len(maps) == 2 * 7
+
+
+@pytest.mark.parametrize("n", [4, 40, 400])
+def test_assignment_is_its_row_of_the_labelings(n):
+    # team_assignment prices one row by the offset formula that _labelings
+    # broadcasts over every row
+    order = np.random.default_rng(n).permutation(n).tolist()
+    pc = PivotedCycle(order[-1], tuple(order[:-1]), 0, None, None)
+    for direction in DIRECTIONS:
+        rows = _labelings(pc, direction).tolist()
+        for r, row in enumerate(rows):
+            mapping = team_assignment(pc, r, direction)
+            assert mapping == tuple(row)
+            assert all(type(v) is int for v in mapping)
+
+
+def test_solve_prices_labeling_zero_once(monkeypatch):
+    # the scan and the certificate share forward labeling 0's table: one
+    # athome_table call for it and one for reversed labeling 0, per solve
+    calls = []
+
+    def counted(D, family, mapping):
+        calls.append(tuple(mapping))
+        return athome_table(D, family, mapping)
+
+    monkeypatch.setattr(uttp.solver, "athome_table", counted)
+    monkeypatch.setattr(uttp.analysis, "athome_table", counted)
+    D = random_euclidean_instance(8, 3)
+    report, _ = solve(D)
+    assert report.certificate is not None and report.certificate.all_ok
+    pc = build_pivoted_cycle(D)
+    assert calls == [team_assignment(pc, 0, d) for d in DIRECTIONS]
 
 
 def test_assignment_range_errors(line4):

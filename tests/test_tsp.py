@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -27,6 +28,7 @@ from uttp.tsp import (
     MATCHING_EXACT_MAX,
     Tour,
     _matching_greedy_swap,
+    _min_plus,
     _prim_mst,
     cycle_length,
 )
@@ -34,6 +36,7 @@ from uttp.tsp import (
 from independent import (
     all_cycles_min,
     coprime_big,
+    cycle_len,
     dict_prim_mst,
     per_mask_held_karp,
     per_mask_matching_dp,
@@ -55,6 +58,27 @@ def uniform_matrix(n, c):
     return DistanceMatrix.from_rows(
         [[0 if i == j else c for j in range(n)] for i in range(n)]
     )
+
+
+def held_karp_route(D, vertex_set=None):
+    """``held_karp``'s tour and the route it took: "half" when the DP
+    filled its layers only up to the sets of ceil(k/2) vertices, "full"
+    when up to the full set. Each filled layer but the last is consumed
+    once, block by block, by ``_min_plus``; the sets it counts start at
+    the one-vertex sets, column 1."""
+    consumed = []
+
+    def counted(src, step):
+        consumed.append(src.shape[1])
+        return _min_plus(src, step)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uttp.tsp, "_min_plus", counted)
+        tour = held_karp(D, vertex_set)
+    k = len(tour.vertices)
+    _, start = uttp.tsp._popcount_order(k - 1)
+    routes = {start[(k + 1) // 2] - 1: "half", start[k - 1] - 1: "full"}
+    return tour, routes[sum(consumed)]
 
 
 # --- pivot selection ---
@@ -179,47 +203,88 @@ def test_held_karp_matches_per_mask_oracle(k, extra, seed, box, numbers, pick):
     assert tour.length == oracle.length
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(4, 8),
+    seed=st.integers(0, 2**32 - 1),
+    box=st.sampled_from([5.0, 20.0, 1000.0]),  # ties are common at 5 and 20
+)
+def test_held_karp_half_route_exactly_on_a_unique_shortest_cycle(k, seed, box):
+    # the half table gives the tour only when one cycle (two directed ones
+    # from vertex 0) is shortest, counted here over every permutation
+    D = random_euclidean_instance(k, seed, box=box)
+    lengths = [cycle_len(D.d, (0, *rest)) for rest in itertools.permutations(range(1, k))]
+    tour, route = held_karp_route(D)
+    assert route == ("half" if lengths.count(min(lengths)) == 2 else "full")
+    assert tour == brute_force_tsp(D)
+
+
+@pytest.mark.parametrize("k", [13, 14, 15, 16])
+def test_held_karp_routes_at_even_and_odd_k(k):
+    # a random instance has one shortest cycle and stops at the half
+    # table; a uniform matrix, where every cycle is shortest, and a
+    # tie-heavy box go on to the full set. Every tour is the per-mask DP's
+    unique = random_euclidean_instance(k, 1)
+    tied = (uniform_matrix(k, 7), random_euclidean_instance(k, 16, box=20.0))
+    for D, want in ((unique, "half"), (tied[0], "full"), (tied[1], "full")):
+        tour, route = held_karp_route(D)
+        assert route == want
+        assert tour == Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
+
+
 @pytest.mark.parametrize("k", [13, 14, 15, 16])
 def test_held_karp_matches_per_mask_oracle_past_the_property_sizes(k, monkeypatch):
-    # a tie-heavy box; the quarter-unit twin and the wide twin (an int64
-    # table) must break every tie as the oracle does on the integers (the
-    # oracle itself is too slow on Fractions), on the kept addressing and
-    # on the one built block by block on every call past HK_KEEP_MAX
-    D = random_euclidean_instance(k, k, box=20.0)
-    Q = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
-    W = DistanceMatrix.from_rows(wide_twin(D.d, 32))
-    oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
-    for keep in (uttp.tsp.HK_KEEP_MAX, 2):
-        monkeypatch.setattr(uttp.tsp, "HK_KEEP_MAX", keep)
-        tour, twin, wide = held_karp(D), held_karp(Q), held_karp(W)
-        assert tour == oracle
-        assert twin.vertices == oracle.vertices and twin.length == Fraction(oracle.length, 4)
-        assert wide.vertices == oracle.vertices and wide.length == (oracle.length << 32) + k
+    # a tie-heavy box, which mostly takes the full route, and a wide one,
+    # which mostly stops at the half table; the quarter-unit twin and the
+    # wide twin (an int64 table) must break every tie as the oracle does on
+    # the integers (the oracle itself is too slow on Fractions), on the
+    # kept addressing and on the one built on every call past HK_KEEP_MAX
+    keeps = (uttp.tsp.HK_KEEP_MAX, 2)
+    for box in (20.0, 1000.0):
+        D = random_euclidean_instance(k, k, box=box)
+        Q = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
+        W = DistanceMatrix.from_rows(wide_twin(D.d, 32))
+        oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
+        for keep in keeps:
+            monkeypatch.setattr(uttp.tsp, "HK_KEEP_MAX", keep)
+            tour, twin, wide = held_karp(D), held_karp(Q), held_karp(W)
+            assert tour == oracle, box
+            assert twin.vertices == oracle.vertices and twin.length == Fraction(oracle.length, 4)
+            assert wide.vertices == oracle.vertices and wide.length == (oracle.length << 32) + k
 
 
 def test_held_karp_reuses_each_size_addressing():
     # one process, sizes in an order that returns to k=16 after smaller
     # tables, on int32, int64 and object tables: every call must read the
-    # addressing kept for its own k, with no trace of an earlier call. 15
-    # after 14 and 16 catches a plan kept under a neighbouring size's key
-    for seed, (k, numbers) in enumerate(
-        [(16, "int64"), (14, "wide"), (15, "int64"), (16, "coprime"), (12, "coprime"), (16, "wide")]
+    # addressing kept for its own k, blocks and meet, with no trace of an
+    # earlier call. 15 after 14 and 16 catches a plan kept under a
+    # neighbouring size's key. Box 20 mostly takes the full route, box 1000
+    # the half one, so each of k = 14, 15 and 16 reads its meet and blocks
+    routes = set()
+    for seed, (k, numbers, box) in enumerate(
+        [(16, "int64", 20.0), (14, "wide", 20.0), (15, "int64", 20.0),
+         (16, "coprime", 20.0), (12, "coprime", 20.0), (16, "wide", 20.0),
+         (14, "int64", 1000.0), (14, "wide", 20.0), (15, "wide", 1000.0),
+         (13, "coprime", 1000.0), (16, "int64", 1000.0), (14, "wide", 1000.0)]
     ):
-        D = random_euclidean_instance(k, seed, box=20.0)
+        D = random_euclidean_instance(k, seed, box=box)
         if numbers == "wide":
             D = DistanceMatrix.from_rows(wide_twin(D.d, 32))
         elif numbers == "coprime":
             D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
         oracle = Tour.from_vertices(D, per_mask_held_karp(D, list(range(k))))
-        assert held_karp(D) == oracle, (k, numbers)
+        tour, route = held_karp_route(D)
+        assert tour == oracle, (k, numbers, box)
+        routes.add((k, route))
+    assert {(k, route) for k in (14, 15, 16) for route in ("half", "full")} <= routes
 
 
 def test_held_karp_kept_arrays_are_read_only():
     # the kept addressing and popcount order are shared by every later call
     held_karp(random_euclidean_instance(14, 1))
-    column, blocks = uttp.tsp._hk_kept_plan(14)
+    column, meet, blocks = uttp.tsp._hk_kept_plan(14)
     order, start = uttp.tsp._popcount_order(13)
-    for kept in (column, blocks[0][2], blocks[-1][2], order, start):
+    for kept in (column, meet, blocks[0][2], blocks[-1][2], order, start):
         with pytest.raises(ValueError):
             kept[(0,) * kept.ndim] = 1
 
