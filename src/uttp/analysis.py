@@ -100,7 +100,11 @@ def certify(
       avg_bound   mean over slot rotations of athome totals <=
                   (n-2)*tau' + 2*pivot_sum + 1.5*tau + n*tau/2 + pair_sum/(n-1)
       team_avg    per team, mean over rotations <= closed-route length +
-                  own row sum/(n-1); lhs/rhs stored for the tightest team
+                  own row sum/(n-1); lhs/rhs stored for the tightest team.
+                  A team's athome sum over rotations is (2n-3) * l_a[t] +
+                  2 * row[mapping[t]] (pinned by the tests), so the slack
+                  is l_a[t] / (2n-2): the check tests the table, and is
+                  tight only for a closed route of length 0
       best_le_avg the reported total <= the rotation average
       ratio       the reported total <= ratio_bound * n * tau
     """

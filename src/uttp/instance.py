@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -124,11 +125,18 @@ def _as_integers(rows: list[list[Number]]) -> tuple[np.ndarray, Number]:
     scaled back have one number type per matrix."""
     n = len(rows)
     flat = list(chain.from_iterable(rows))
-    integral = all(issubclass(t, int) for t in set(map(type, flat)))
-    if integral and _fits_int64(n, flat):
-        return np.array(rows, dtype=np.int64), 1
-    if not integral:  # exact numerators and denominators, whatever the input type
-        flat = [x if type(x) is Fraction else Fraction(x) for x in flat]
+    types = set(map(type, flat))
+    integral = all(issubclass(t, numbers.Integral) for t in types)
+    if integral:
+        flat = flat if types == {int} else list(map(int, flat))  # numpy integers, say
+        if _fits_int64(n, flat):
+            return np.array(flat, dtype=np.int64).reshape(n, n), 1
+    else:  # exact numerators and denominators, whatever the input type
+        for at, x in enumerate(flat):
+            try:
+                flat[at] = x if type(x) is Fraction else Fraction(x)
+            except (TypeError, ValueError, OverflowError):
+                raise InstanceError(f"not a finite number at ({at // n},{at % n}): {x!r}") from None
     scale = math.lcm(*(x.denominator for x in flat))
     ints = [x.numerator * (scale // x.denominator) for x in flat]
     common = math.gcd(*ints) or 1

@@ -50,6 +50,11 @@ MB of it the meet, about 4.7 MB for all k up to 16. Past that a kept plan
 would be larger than the table itself, so each call builds its blocks one
 at a time as they are used, and its meet (7.4 MB at k=20). The popcount
 order is kept for every bit count.
+
+The exact matching is a recursion over the index sets left to pair, top
+down from the full set on the image's Python ints: the lowest index left
+pairs with each other index left, the first minimum winning. It prices only
+the sets that recurrence reaches, F(k+1) of the 2^k, in a dict.
 """
 
 from __future__ import annotations
@@ -169,7 +174,7 @@ def held_karp(D: DistanceMatrix, vertex_set: Optional[Iterable[int]] = None) -> 
 def _popcount_order(bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The subsets of range(bits) as bitmasks sorted by size, then value,
     and where each size starts: ``order[start[p]:start[p + 1]]`` are the
-    p-element subsets. Both subset DPs fill their tables in this order.
+    p-element subsets. Held-Karp fills its table in this order.
     Computed once per bit count; both arrays are read-only."""
     masks = np.arange(1 << bits)
     size = np.zeros(1 << bits, dtype=np.int8)
@@ -366,53 +371,56 @@ def min_weight_perfect_matching(
 ) -> Matching:
     """Pair up an even-cardinality vertex set at minimum total distance.
 
-    Exact subset DP up to ``MATCHING_EXACT_MAX`` vertices; greedy nearest-pair
-    plus pairwise-swap improvement beyond that, with the mode recorded.
+    Exact up to ``MATCHING_EXACT_MAX`` vertices, by a memoized recursion
+    over the vertex sets left to pair (``_matching_dp``); greedy
+    nearest-pair plus pairwise-swap improvement beyond that, with the mode
+    recorded.
     """
     verts = _check_vertex_set(D, odd_set)
     if len(verts) % 2 != 0:
         raise TspError(f"matching needs an even vertex count, got {len(verts)}")
     exact = len(verts) <= MATCHING_EXACT_MAX
-    match = _matching_dp if exact else _matching_greedy_swap
     w = D.array[np.ix_(verts, verts)]
-    idx = match(w)
-    pairs = tuple((verts[i], verts[j]) for i, j in idx)
+    idx = (_matching_dp if exact else _matching_greedy_swap)(w)
     # an empty matching weighs int 0, as an empty sum of input values does
     weight = sum(int(w[i, j]) for i, j in idx) * D.unit if idx else 0
-    return Matching(pairs=pairs, weight=weight, exact=exact)
+    return Matching(tuple((verts[i], verts[j]) for i, j in idx), weight, exact)
 
 
 def _matching_dp(w: np.ndarray) -> list[tuple[int, int]]:
-    """Subset DP on the weights ``w``, one popcount layer at a time: each
-    even set's lowest member i pairs with another member j, taking the first
-    minimum over the members j in increasing order. Returns sorted index
+    """Exact matching on the weights ``w``, top-down from the full index
+    set: the lowest index left pairs with each other index left, in
+    increasing order, and the first minimum wins. Only the sets that
+    recurrence reaches are priced, F(k+1) of the 2^k. Returns sorted index
     pairs."""
-    k = len(w)
-    bits = 1 << np.arange(k)
-    best = np.zeros(1 << k, dtype=w.dtype)
-    mate = np.zeros(1 << k, dtype=np.intp)
-    order, start = _popcount_order(k)
-    for p in range(2, k + 1, 2):
-        sets = order[start[p]:start[p + 1]]
-        members = np.empty((len(sets), p), dtype=np.int8)  # increasing, one bit at a time
-        filled = np.zeros(len(sets), dtype=np.intp)
-        for b in range(k):
-            hit = np.flatnonzero((sets >> b) & 1)
-            members[hit, filled[hit]] = b
-            filled[hit] += 1
-        i, js = members[:, :1], members[:, 1:]
-        cand = best[sets[:, None] ^ bits[i] ^ bits[js]] + w[i, js]
-        arg = np.argmin(cand, axis=1)  # first minimum: ties break low
-        at = np.arange(len(sets))
-        best[sets] = cand[at, arg]
-        mate[sets] = js[at, arg]
+    left = (1 << len(w)) - 1
+    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
+    _least_pairing(left, w.tolist(), memo)
     pairs = []
-    mask = (1 << k) - 1
-    while mask:
-        i, j = (mask & -mask).bit_length() - 1, int(mate[mask])
-        pairs.append((i, j))
-        mask ^= (1 << i) | (1 << j)
-    return sorted(pairs)
+    while left:  # the lowest index left grows, so the pairs come sorted
+        low, bit = left & -left, memo[left][1]
+        pairs.append((low.bit_length() - 1, bit.bit_length() - 1))
+        left ^= low | bit
+    return pairs
+
+
+def _least_pairing(left: int, d: list[list[int]], memo: dict[int, tuple[int, int]]) -> int:
+    """The least weight pairing up the index set ``left`` (bit i for index
+    i). ``memo`` maps each set priced to that weight and the bit of its
+    lowest index's partner. A module-level function: a nested one that
+    calls itself is a reference cycle, which keeps each call's memo until a
+    full GC."""
+    if left not in memo:
+        low = left & -left
+        row, best, others = d[low.bit_length() - 1], None, left ^ low
+        while others:  # bit j of others for each other index j, increasing
+            bit = others & -others
+            weight = row[bit.bit_length() - 1] + _least_pairing(left ^ low ^ bit, d, memo)
+            if best is None or weight < best[0]:  # the first minimum wins
+                best = weight, bit
+            others ^= bit
+        memo[left] = best
+    return memo[left][0]
 
 
 def _matching_greedy_swap(w: np.ndarray) -> list[tuple[int, int]]:

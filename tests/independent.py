@@ -5,7 +5,7 @@ shared code or structure with src/, so agreement is meaningful. The
 exceptions are the package's earlier versions of code it has since rewritten,
 kept as they were so the rewrites can be held to identical output:
 ``per_mask_held_karp`` (tie-breaks of the layer-wise DP),
-``per_mask_matching_dp`` (tie-breaks of the layer-wise matching DP),
+``per_mask_matching_dp`` (tie-breaks of the recursive matching DP),
 ``dict_prim_mst`` and ``rescan_greedy_swap`` (tie-breaks of the MST and the
 greedy matching on the integer image),
 ``triple_loop_violations`` and ``first_entry_fault`` (the vectorized load
@@ -255,7 +255,7 @@ def tuple_relabel(opp, home, perm):
 def per_mask_matching_dp(D, verts):
     """The package's earlier matching DP, one mask at a time in Python over
     ``D.d``; returns (sorted pairs, weight). Kept unchanged as the tie-break
-    oracle for the layer-wise one."""
+    oracle for the recursive one."""
     k = len(verts)
     d = D.d
     full = (1 << k) - 1

@@ -15,11 +15,11 @@ from uttp import (
     solve,
 )
 from uttp.analysis import render_gap
-from uttp.solver import schedule_family, team_assignment
+from uttp.solver import athome_table, evaluate_assumption_a, schedule_family, team_assignment
 from uttp.tsp import build_pivoted_cycle, held_karp
 
 from conftest import benchmark
-from independent import fraction_certify, mean, number_kind, route_walk, rule_a_walk
+from independent import coprime_big, fraction_certify, mean, number_kind, route_walk, rule_a_walk
 
 
 def test_lower_bound_values(nl8, zeros4):
@@ -166,6 +166,32 @@ def test_certificate_matches_fraction_oracle(kind, mode, half, seed):
     # (1 - 1/(2n-2)) plus its row sum/(n-1), so team_avg's slack is the least
     # closed route over 2n-2, metric or not
     assert cert.check("team_avg").slack == Fraction(min(l_a), 2 * n - 2)
+
+
+@pytest.mark.parametrize("numbers", ["int64", "tenths", "coprime"])
+@pytest.mark.parametrize("n", [4, 10, 40])
+def test_team_sums_over_rotations_are_closed_routes_plus_rows(n, numbers):
+    # in image units, for every labeling: a team's athome travel summed over
+    # the 2n-2 slot rotations is 2n-3 closed routes (assumption A's walk)
+    # plus twice its venue's row sum, which ties the scan's legs to the walk
+    rows = random_euclidean_instance(n, n).d
+    if numbers == "tenths":
+        rows = [[Fraction(x, 10) for x in row] for row in rows]
+    elif numbers == "coprime":
+        rows = [[coprime_big(x) for x in row] for row in rows]
+    D = DistanceMatrix.from_rows(rows)
+    assert D.array.dtype == (object if numbers == "coprime" else np.int64)
+    pc = build_pivoted_cycle(D, mode="christofides")
+    family = schedule_family(n)
+    row = D.array.sum(axis=1).tolist()
+    for r in range(n - 1):
+        for direction in ("forward", "reversed"):
+            mapping = team_assignment(pc, r, direction)
+            l_a, _ = evaluate_assumption_a(family.base, mapping, D)
+            image = [Fraction(x) / D.unit for x in l_a]
+            assert all(x.denominator == 1 for x in image)
+            want = [(2 * n - 3) * int(x) + 2 * row[m] for x, m in zip(image, mapping)]
+            assert athome_table(D, family, mapping).sum(axis=0).tolist() == want
 
 
 @pytest.mark.parametrize("n", [4, 16])

@@ -16,6 +16,7 @@ from uttp import (
     parse_distance_matrix,
     random_euclidean_instance,
     render_distance_matrix,
+    solve,
     validate_metric,
 )
 
@@ -178,13 +179,42 @@ def test_fraction_round_trip():
 
 
 def test_from_rows_reads_other_number_types_exactly():
-    # numpy ints past 2^61 would wrap in the image's int64 bound test; they,
-    # like floats, are read as exact Fractions
+    # numpy ints past 2^61 would wrap in the image's int64 bound test; they
+    # are read as Python ints, and floats as exact Fractions
     big = np.int64(1 << 61)
     D = DistanceMatrix.from_rows([[np.int64(0), big], [big, np.int64(0)]])
-    assert D.d == ((0, 1 << 61), (1 << 61, 0)) and type(D.d[0][1]) is Fraction
+    assert D.d == ((0, 1 << 61), (1 << 61, 0)) and type(D.d[0][1]) is int
     D = DistanceMatrix.from_rows([[0, 1.5], [1.5, 0.0]])
     assert D.d == ((0, Fraction(3, 2)), (Fraction(3, 2), 0)) and type(D.d[0][0]) is Fraction
+
+
+def typed(value):
+    """``value`` with the type of every number in it, through dataclasses
+    and tuples: a solve report, its certificate and its candidates."""
+    if dataclasses.is_dataclass(value):
+        return [(f.name, typed(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return [typed(x) for x in value]
+    return value, type(value)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_numpy_integer_rows_read_as_ints(dtype):
+    rows = random_euclidean_instance(8, 3).d
+    D = DistanceMatrix.from_rows(np.array(rows, dtype=dtype))
+    assert D == DistanceMatrix.from_rows(rows)
+    assert D.unit == 1 and type(D.unit) is int and all(type(x) is int for x in D.d[0])
+    (mine, _), (theirs, _) = (solve(E, keep_candidates=True) for E in (D, DistanceMatrix.from_rows(rows)))
+    assert type(mine.total_distance) is int
+    assert typed(mine) == typed(theirs)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), None])
+def test_from_rows_rejects_non_finite_or_non_numeric_entries(bad):
+    rows = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    rows[1][2] = bad
+    with pytest.raises(InstanceError, match=rf"not a finite number at \(1,2\): {bad!r}"):
+        DistanceMatrix.from_rows(rows)
 
 
 def test_load_one_decimal_file():

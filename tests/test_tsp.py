@@ -384,6 +384,21 @@ def test_matching_collinear(line4):
     assert m.weight == 2
 
 
+def image_twin(D, numbers):
+    """D itself, its one-decimal or quarter twin (an int64 image over a
+    Fraction unit), its entries times 2^58 (an int64 image over an int
+    unit) or its coprime_big twin (an object image); each orders single
+    edges, and sums over equally many edges, as D does."""
+    if numbers in ("tenths", "quarter"):
+        den = 10 if numbers == "tenths" else 4
+        return DistanceMatrix.from_rows([[Fraction(x, den) for x in row] for row in D.d])
+    if numbers == "scaled":
+        return DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
+    if numbers == "coprime":
+        return DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
+    return D
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     half=st.integers(0, 6),
@@ -395,13 +410,7 @@ def test_matching_collinear(line4):
 )
 def test_matching_dp_matches_per_mask_oracle(half, extra, seed, box, numbers, data):
     k = 2 * half
-    D = random_euclidean_instance(k + extra, seed, box=box)
-    if numbers == "quarter":
-        D = DistanceMatrix.from_rows([[Fraction(x, 4) for x in row] for row in D.d])
-    elif numbers == "scaled":
-        D = DistanceMatrix.from_rows([[x << 58 for x in row] for row in D.d])
-    elif numbers == "coprime":
-        D = DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
+    D = image_twin(random_euclidean_instance(k + extra, seed, box=box), numbers)
     verts = sorted(data.draw(st.permutations(range(k + extra)))[:k])
     m = min_weight_perfect_matching(D, verts)
     pairs, weight = per_mask_matching_dp(D, verts)
@@ -409,11 +418,17 @@ def test_matching_dp_matches_per_mask_oracle(half, extra, seed, box, numbers, da
     assert m.weight == weight and type(m.weight) is type(weight)
 
 
-def test_matching_dp_matches_oracle_at_the_cutoff():
-    D = random_euclidean_instance(MATCHING_EXACT_MAX + 2, 4, box=30.0)
-    verts = list(range(1, MATCHING_EXACT_MAX + 1))
+@pytest.mark.parametrize("numbers", ["int64", "quarter", "scaled", "coprime"])
+@pytest.mark.parametrize("box", [3.0, 30.0])  # nearly every weight ties at 3
+@pytest.mark.parametrize("k", [MATCHING_EXACT_MAX - 2, MATCHING_EXACT_MAX])
+def test_matching_dp_matches_oracle_at_the_cutoff(k, box, numbers):
+    D = image_twin(random_euclidean_instance(k + 2, 4, box=box), numbers)
+    assert D.array.dtype == (object if numbers == "coprime" else np.int64)
+    verts = list(range(1, k + 1))
     m = min_weight_perfect_matching(D, verts)
-    assert m.exact and (m.pairs, m.weight) == per_mask_matching_dp(D, verts)
+    pairs, weight = per_mask_matching_dp(D, verts)
+    assert m.exact and m.pairs == pairs
+    assert m.weight == weight and type(m.weight) is type(weight)
 
 
 def test_matching_rejects_odd(line4):
@@ -429,17 +444,6 @@ def test_matching_greedy_never_beats_dp(seed):
     assert exact.exact
     assert sum(D.d[a][b] for a, b in _matching_greedy_swap(D.array)) >= exact.weight
     assert min_weight_perfect_matching(random_euclidean_instance(18, seed), range(18)).exact is False
-
-
-def image_twin(D, numbers):
-    """D itself, its one-decimal twin (an int64 image) or its coprime_big
-    twin (an object image); each orders single edges, and sums over equally
-    many edges, as D does."""
-    if numbers == "tenths":
-        return DistanceMatrix.from_rows([[Fraction(x, 10) for x in row] for row in D.d])
-    if numbers == "coprime":
-        return DistanceMatrix.from_rows([[coprime_big(x) for x in row] for row in D.d])
-    return D
 
 
 @settings(max_examples=40, deadline=None)
